@@ -20,7 +20,7 @@ Configurations:
   coalesce into one batched delta run (the PR 3/5 coalescing machinery
   applied *across* clients).
 * ``served-threads``    — group commit over a 4-shard thread-mode
-  ``ShardedEngine`` (parallelism 4).
+  ``ShardedEngine`` (every phase inline).
 * ``served-procs``      — group commit over the same shards in worker
   *processes* (``execution='processes'``): on an N-core host the
   batch's prepare fans out across real cores; on a 1-core host it
@@ -122,8 +122,7 @@ def _build_engine(kind: str, strategy, size: int):
             strategy.sources, partitioner=partitioner,
             backends='memory',
             shard_keys={'luxuryitems': 'iid', 'items': 'iid'},
-            execution='processes' if kind == 'procs' else 'threads',
-            parallelism=SHARDS)
+            execution='processes' if kind == 'procs' else 'threads')
     engine.load('items', _base_rows(size))
     engine.define_view(strategy, validate_first=False)
     engine.rows('luxuryitems')

@@ -1,5 +1,5 @@
-"""Sharded engine benchmark: throughput vs shard count and worker
-threads on a key-local workload.
+"""Sharded engine benchmark: throughput vs shard count on a key-local
+workload.
 
 The workload is the Figure-6a selection view (``luxuryitems``) over an
 ``items`` table of ``--size`` rows, range-partitioned on ``iid``.  Each
@@ -15,13 +15,9 @@ extreme is also reported for transparency: since the batched pipeline
 coalesces it into one O(|Δ|) derivation, a single engine serves it at
 memory speed and sharding is pure routing overhead there.)
 
-Measured configurations: a plain single ``Engine`` (memory backend),
+Measured configurations: a plain single ``Engine`` (memory backend) and
 ``ShardedEngine`` with 1, 2 and 4 memory shards (1-shard isolates the
-routing overhead), and a ``--parallelism`` sweep at 4 shards (worker
-threads 2 and 4).  On a multi-core host the parallel rows add the
-thread-level fan-out of prepare/apply on top of the same routing; on a
-single-core host they measure the pool's overhead (the gate allows a
-small tolerance for it).  Results are printed as a table and written to
+routing overhead).  Results are printed as a table and written to
 ``BENCH_shard.json`` together with the host's CPU count.
 
 All configurations run on the shared ``benchsuite.harness`` core:
@@ -32,9 +28,8 @@ every engine is closed by the harness teardown.
 Run:  python benchmarks/bench_shard.py [--quick] [--check] [--json PATH]
 
 ``--quick`` shrinks sizes for CI smoke runs; ``--check`` exits nonzero
-if sharded(N=4) throughput falls below the single engine, or if
-parallel(4 shards, 4 workers) falls below 0.9× serial(4 shards) — the
-CI regression gates; the tracked JSON shows the actual multiples.
+if sharded(N=4) throughput falls below the single engine — the CI
+regression gate; the tracked JSON shows the actual multiples.
 """
 
 import argparse
@@ -55,7 +50,6 @@ from repro.rdbms.sharded import (RangePartitioner,           # noqa: E402
 from repro.relational.schema import DatabaseSchema           # noqa: E402
 
 SHARD_COUNTS = (1, 2, 4)
-PARALLELISM_SWEEP = (2, 4)
 
 #: Key space per shard slot: shard i of N owns iids in
 #: [i * SLOT, (i+1) * SLOT) under the range partitioner below.
@@ -94,14 +88,12 @@ def _build_single(strategy, size: int, shards_in_data: int) -> Engine:
     return engine
 
 
-def _build_sharded(strategy, size: int, shards: int,
-                   parallelism: int = 1) -> ShardedEngine:
+def _build_sharded(strategy, size: int, shards: int) -> ShardedEngine:
     partitioner = RangePartitioner([i * SLOT for i in range(1, shards)])
     engine = ShardedEngine(strategy.sources, partitioner=partitioner,
                            backends='memory',
                            shard_keys={'luxuryitems': 'iid',
-                                       'items': 'iid'},
-                           parallelism=parallelism)
+                                       'items': 'iid'})
     engine.load('items', _base_rows(size, shards))
     engine.define_view(strategy, validate_first=False)
     engine.rows('luxuryitems')
@@ -137,8 +129,7 @@ def _hot_mix_transaction(counter: list[int], hot_shard: int,
 
 
 def _mix_case(name: str, build, key_shards: int, statements: int,
-              keyed: int, *, shards: int, parallelism: int
-              ) -> BenchCase:
+              keyed: int, *, shards: int) -> BenchCase:
     """One harness case: the engine plus its own key counter; each
     timed round runs one hot-range transaction (hot shard rotated by
     the round index; warmup rounds use the negative indices and the
@@ -155,8 +146,7 @@ def _mix_case(name: str, build, key_shards: int, statements: int,
     return BenchCase(name=name, setup=setup, op=op,
                      teardown=lambda ctx: ctx['engine'].close(),
                      warmup=1,
-                     meta={'shards': shards,
-                           'parallelism': parallelism})
+                     meta={'shards': shards})
 
 
 def _case_points(results, *, size: int, statements: int,
@@ -168,7 +158,6 @@ def _case_points(results, *, size: int, statements: int,
         tput = statements / statistics.median(result.wall)
         points.append({'config': result.name,
                        'shards': result.meta['shards'],
-                       'parallelism': result.meta['parallelism'],
                        'base_size': size, 'statements': statements,
                        'keyed': keyed, 'stmts_per_second': tput,
                        'txn_latency': result.latency})
@@ -179,27 +168,17 @@ def _case_points(results, *, size: int, statements: int,
 
 
 def run_bench(size: int, statements: int, keyed: int, repeats: int,
-              shard_counts=SHARD_COUNTS,
-              parallelism_sweep=PARALLELISM_SWEEP,
-              progress=None) -> list[dict]:
+              shard_counts=SHARD_COUNTS, progress=None) -> list[dict]:
     strategy = _strategy()
     max_shards = max(shard_counts)
     cases = [_mix_case('single',
                        lambda: _build_single(strategy, size, max_shards),
-                       max_shards, statements, keyed,
-                       shards=1, parallelism=1)]
+                       max_shards, statements, keyed, shards=1)]
     for n in shard_counts:
         cases.append(_mix_case(
             f'sharded-{n}',
             lambda n=n: _build_sharded(strategy, size, n),
-            n, statements, keyed, shards=n, parallelism=1))
-    for workers in parallelism_sweep:
-        cases.append(_mix_case(
-            f'sharded-{max_shards}x{workers}',
-            lambda w=workers: _build_sharded(strategy, size, max_shards,
-                                             parallelism=w),
-            max_shards, statements, keyed,
-            shards=max_shards, parallelism=workers))
+            n, statements, keyed, shards=n))
     results = run_cases(cases, rounds=repeats, seed=11,
                         progress=progress)
     return _case_points(results, size=size, statements=statements,
@@ -212,10 +191,10 @@ def run_insert_only(size: int, statements: int, repeats: int) -> dict:
     strategy = _strategy()
     cases = [_mix_case('single',
                        lambda: _build_single(strategy, size, 4),
-                       4, statements, 0, shards=1, parallelism=1),
+                       4, statements, 0, shards=1),
              _mix_case('sharded-4',
                        lambda: _build_sharded(strategy, size, 4),
-                       4, statements, 0, shards=4, parallelism=1)]
+                       4, statements, 0, shards=4)]
     results = run_cases(cases, rounds=repeats, seed=13)
     single_tput, sharded_tput = (
         statements / statistics.median(result.wall)
@@ -228,14 +207,14 @@ def run_insert_only(size: int, statements: int, repeats: int) -> dict:
 
 
 def format_points(points) -> str:
-    lines = [f'{"config":<14} {"shards":>6} {"par":>4} {"n":>8} '
+    lines = [f'{"config":<14} {"shards":>6} {"n":>8} '
              f'{"stmts":>6} {"keyed":>6} {"stmts/s":>10} '
              f'{"vs single":>10} {"p50 ms":>8} {"p99 ms":>8}']
     lines.append('-' * len(lines[0]))
     for p in points:
         latency = p['txn_latency']
         lines.append(
-            f'{p["config"]:<14} {p["shards"]:>6} {p["parallelism"]:>4} '
+            f'{p["config"]:<14} {p["shards"]:>6} '
             f'{p["base_size"]:>8} {p["statements"]:>6} '
             f'{p["keyed"]:>6} {p["stmts_per_second"]:>10.0f} '
             f'{p["speedup"]:>9.2f}x {latency["p50_ms"]:>8.1f} '
@@ -257,8 +236,7 @@ def _main(argv=None) -> int:
                         help='small size/rounds: a CI smoke run')
     parser.add_argument('--check', action='store_true',
                         help='fail when sharded(4) is below the single '
-                             'engine or parallel(4x4) is below 0.9x '
-                             'serial sharded(4)')
+                             'engine')
     parser.add_argument('--json', type=Path,
                         default=Path(__file__).resolve().parent /
                         'BENCH_shard.json')
@@ -286,29 +264,14 @@ def _main(argv=None) -> int:
                          encoding='utf-8')
     print(f'wrote {args.json}')
     if args.check:
-        four = next(p for p in points if p['shards'] == 4
-                    and p['parallelism'] == 1)
-        failed = False
+        four = next(p for p in points if p['config'] == 'sharded-4')
         if four['speedup'] < 1.0:
             print(f'FAIL: sharded(4) is {four["speedup"]:.2f}x the '
                   f'single-engine throughput (expected >= 1.0)',
                   file=sys.stderr)
-            failed = True
-        par = next((p for p in points if p['shards'] == 4
-                    and p['parallelism'] == 4), None)
-        if par is not None and par['stmts_per_second'] \
-                < 0.9 * four['stmts_per_second']:
-            print(f'FAIL: parallel(4x4) is '
-                  f'{par["stmts_per_second"]:.0f} stmts/s vs serial '
-                  f'{four["stmts_per_second"]:.0f} (allowed >= 0.9x)',
-                  file=sys.stderr)
-            failed = True
-        if failed:
             return 1
         print(f'check passed: sharded(4) = {four["speedup"]:.2f}x '
-              f'single engine'
-              + (f', parallel(4x4) = {par["speedup"]:.2f}x'
-                 if par is not None else ''))
+              f'single engine')
     return 0
 
 

@@ -1,15 +1,14 @@
 """``bench_all``: every engine configuration, one comparable summary.
 
 Runs the same key-local OLTP mix (write transactions of ``stmts``
-inserts, each followed by view reads) across the seven engine
+inserts, each followed by view reads) across the six engine
 configurations this repo ships —
 
 * ``memory``   — single :class:`~repro.rdbms.engine.Engine`, memory
   backend (the baseline every speedup is relative to);
 * ``sqlite``   — single engine, SQLite backend;
 * ``sharded``  — :class:`~repro.rdbms.sharded.ShardedEngine`, two
-  thread shards, serial pipeline;
-* ``parallel`` — two thread shards, thread-pooled fan-out;
+  thread shards, every phase inline;
 * ``procs``    — two worker *processes* (pipelined pickle RPC);
 * ``replica``  — single WAL-backed engine with delta-fed read
   replicas serving the reads;
@@ -23,7 +22,8 @@ configurations this repo ships —
 rounds, execution-order rotation, warmup), and emits ONE summary JSON:
 per-config throughput, P50/P95/P99 latency, CPU seconds
 (``resource.getrusage`` — psutil-free), run-level peak RSS, a merged
-engine metrics sample, and a **metrics-overhead** section proving the
+engine metrics sample (or, when collecting it failed, the config's
+``metrics_error``), and a **metrics-overhead** section proving the
 instrumented hot path stays within :data:`OVERHEAD_CEILING` of the
 same engine with ``metrics.enabled = False`` (CI gates on it).
 
@@ -61,8 +61,7 @@ __all__ = ['CONFIGS', 'OVERHEAD_CEILING', 'run_bench_all',
            'run_overhead', 'build_summary', 'check_summary', 'main']
 
 #: Every configuration the summary must cover, in baseline-first order.
-CONFIGS = ('memory', 'sqlite', 'sharded', 'parallel', 'procs',
-           'replica', 'peers')
+CONFIGS = ('memory', 'sqlite', 'sharded', 'procs', 'replica', 'peers')
 
 #: The gated bound on instrumented/uninstrumented hot-path time (the
 #: per-transaction hooks are a handful of ``perf_counter`` calls and
@@ -106,10 +105,9 @@ def _build(config: str, strategy: UpdateStrategy, size: int,
         engine.define_view(strategy, validate_first=False)
         return {'engine': engine, 'read': lambda: engine.rows('luxuryitems'),
                 'close': engine.close}
-    if config in ('sharded', 'parallel', 'procs'):
+    if config in ('sharded', 'procs'):
         engine = ShardedEngine(
             schema, shards=2, shard_keys=SHARD_KEYS,
-            parallelism=2 if config == 'parallel' else None,
             execution='processes' if config == 'procs' else 'threads')
         engine.load('items', rows)
         engine.define_view(strategy, validate_first=False)
@@ -171,7 +169,8 @@ def _build(config: str, strategy: UpdateStrategy, size: int,
 
 def _mix_cases(strategy, size: int, wal_dir: str, *, txns: int,
                stmts: int, reads: int, cpu_totals: dict,
-               metrics_holder: dict) -> list[BenchCase]:
+               metrics_holder: dict, metrics_errors: dict
+               ) -> list[BenchCase]:
     def make_case(config: str) -> BenchCase:
         def setup():
             ctx = _build(config, strategy, size, wal_dir)
@@ -217,8 +216,9 @@ def _mix_cases(strategy, size: int, wal_dir: str, *, txns: int,
                             [snapshot, net.metrics.snapshot()])
                     metrics_holder[config] = \
                         summarize_snapshot(snapshot)
-                except Exception:
-                    pass
+                except Exception as error:
+                    metrics_errors[config] = \
+                        f'{type(error).__name__}: {error}'
             ctx['close']()
 
         return BenchCase(name=config, setup=setup, op=op,
@@ -232,15 +232,18 @@ def run_bench_all(size: int, *, rounds: int, txns: int, stmts: int,
     """The cross-config mix.  Returns ``(points, metrics_sample)``:
     one point per config (throughput, latency summary, CPU seconds,
     speedup vs the memory baseline) and each config's summarized
-    engine-metrics snapshot."""
+    engine-metrics snapshot.  A config whose snapshot could not be
+    collected carries the error as its point's ``metrics_error``."""
     strategy = _strategy()
     cpu_totals: dict = {}
     metrics_holder: dict = {}
+    metrics_errors: dict = {}
     with tempfile.TemporaryDirectory(prefix='repro-bench-all-') as d:
         results = run_cases(
             _mix_cases(strategy, size, d, txns=txns, stmts=stmts,
                        reads=reads, cpu_totals=cpu_totals,
-                       metrics_holder=metrics_holder),
+                       metrics_holder=metrics_holder,
+                       metrics_errors=metrics_errors),
             rounds=rounds, seed=7, progress=progress)
     points = []
     for result in results:
@@ -258,6 +261,8 @@ def run_bench_all(size: int, *, rounds: int, txns: int, stmts: int,
             'cpu_seconds': cpu_totals.get(result.name),
             'wall_seconds': result.total_seconds,
         })
+        if result.name in metrics_errors:
+            points[-1]['metrics_error'] = metrics_errors[result.name]
     baseline = points[0]['ops_per_second']
     for point in points:
         point['speedup_vs_memory'] = \

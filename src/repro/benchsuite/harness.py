@@ -16,9 +16,9 @@ A benchmark is a list of :class:`BenchCase` objects.  The harness
 3. then for each of ``rounds`` timed rounds runs every case once — in
    an order **rotated** by the round index, so no case systematically
    benefits from running after another warmed the machine,
-4. tears every case down in a ``finally`` (engines own SQLite leases
-   and worker processes; leaking them skews later rounds' RSS — and
-   the next benchmark's).
+4. tears every case down in a ``finally`` (engines own SQLite
+   connections and worker processes; leaking them skews later rounds'
+   RSS — and the next benchmark's).
 
 Per round the harness wall-clocks the ``op`` call; an op may
 additionally return finer-grained samples (one float, or a list of

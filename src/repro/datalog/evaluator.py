@@ -21,7 +21,7 @@ specialised to that exact rule (slots become locals, binding masks and
 key templates are inlined, the step dispatch disappears) and cache it
 on the plan.  Sealing is what makes the per-transaction delta loops of
 the RDBMS engine cheap — the same immutable plan is shared by every
-thread of the parallel sharded engine, so one seal pays off across all
+shard of a thread-mode sharded engine, so one seal pays off across all
 shards.  ``REPRO_SEALED=0`` disables sealing (the differential tests
 and ``benchmarks/bench_hotpath.py`` compare the two tiers).
 

@@ -609,8 +609,8 @@ def _compile_cached(program: Program, check_safety: bool,
 #: Serialises cached compiles.  ``lru_cache`` alone keeps its dict
 #: consistent under CPython, but two threads missing on the same key
 #: would each run a full compile and race to publish distinct (equal)
-#: plan objects — under the parallel sharded engine two shards
-#: re-planning the same view must share ONE plan, both for the
+#: plan objects — two shards (or two reader threads) re-planning the
+#: same view must share ONE plan, both for the
 #: compile-once guarantee and so per-plan executor caches are not
 #: duplicated.  RLock: a compile may itself request another cached
 #: compile (``incrementalize_plan`` lowers through ``compile_program``).

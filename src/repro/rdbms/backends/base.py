@@ -200,22 +200,7 @@ class Backend(ABC):
         :class:`ConstraintViolation` on the first violation."""
 
     def close(self) -> None:
-        """Release backend resources (connections, files), including
-        every thread's leased resources (see :meth:`release_thread`)."""
-
-    # -- per-thread resource leasing ----------------------------------
-    #
-    # Some storage substrates hold thread-affine resources (SQLite
-    # connections must not cross threads).  Backends acquire such
-    # resources implicitly, per calling thread, on first use — the
-    # *lease* — and a thread that is done with the backend (a worker
-    # leaving a pool) releases its lease explicitly.  Backends without
-    # thread-affine state need nothing: the default is a no-op.
-
-    def release_thread(self) -> None:
-        """Release resources leased to the *calling* thread (no-op by
-        default).  Safe to call on a thread that never used the
-        backend; :meth:`close` releases every thread's lease."""
+        """Release backend resources (connections, files)."""
 
     # -- interpreted execution (shared fallback) ----------------------
     #

@@ -33,8 +33,6 @@ base.Backend` — rows are pulled out of SQLite and the compiled
 from __future__ import annotations
 
 import functools
-import itertools
-import os
 import sqlite3
 import threading
 from collections import OrderedDict
@@ -80,17 +78,11 @@ def _quoted(columns: Iterable[str]) -> str:
     return ', '.join(f'"{c}"' for c in columns)
 
 
-#: Distinguishes the shared-cache in-memory databases of concurrently
-#: living backends (the URI *names* the database process-wide).
-_MEMDB_IDS = itertools.count()
-
-
 def _locked(method):
-    """Serialise a backend method on the instance mutex.  One SQLite
-    backend is one shard's storage: cross-shard parallelism runs on
-    distinct backends, while within a backend the mutex keeps leased
-    connections from tripping over shared-cache table locks (and keeps
-    the Python-side row cache consistent)."""
+    """Serialise a backend method on the instance mutex: the backend's
+    one connection is shared by every calling thread, and the mutex
+    keeps their statements (and TEMP staging shadows) from
+    interleaving and the Python-side row cache consistent."""
     @functools.wraps(method)
     def wrapper(self, *args, **kwargs):
         with self._mutex:
@@ -101,15 +93,10 @@ def _locked(method):
 class SQLiteBackend(Backend):
     """Relational storage + SQL plan execution on a SQLite database.
 
-    Thread model: SQLite connections are thread-affine, so the backend
-    *leases* one connection per calling thread (created lazily on first
-    use, closed by :meth:`release_thread`/:meth:`close`).  In-memory
-    databases use a named shared-cache URI so every lease sees the same
-    data; the constructing thread's connection is kept open for the
-    backend's lifetime to anchor the database.  TEMP staging shadows
-    are per-connection, hence naturally per-thread.  All access is
-    serialised on a per-backend mutex — concurrency comes from the
-    sharded engine running *distinct* backends in parallel."""
+    Thread model: one connection, opened with
+    ``check_same_thread=False`` so any thread may use it, and every
+    SQL-touching method serialised on a per-backend mutex.  Use after
+    :meth:`close` raises :class:`~repro.errors.SchemaError`."""
 
     kind = 'sqlite'
 
@@ -120,20 +107,10 @@ class SQLiteBackend(Backend):
         super().__init__(schema)
         self.path = path
         self._mutex = threading.RLock()
-        self._tls = threading.local()
-        #: thread ident -> (thread object, leased connection)
-        self._leases: dict[int, tuple] = {}
         self._closed = False
-        if path == ':memory:':
-            # A plain ':memory:' database is private to its connection;
-            # per-thread leases need the named shared-cache form.
-            self._uri = (f'file:repro-mem-{os.getpid()}-'
-                         f'{next(_MEMDB_IDS)}?mode=memory&cache=shared')
-        else:
-            self._uri = None
-        # The root lease anchors a shared-cache memory database for the
-        # backend's lifetime; it is closed only by close().
-        self._root_conn = self._lease_connection()
+        self._connection = sqlite3.connect(path, isolation_level=None,
+                                           check_same_thread=False)
+        self._connection.execute('PRAGMA synchronous=OFF')
         self._base_names = frozenset(rel.name for rel in schema)
         self._cache_names: set[str] = set()
         self._view_attrs: dict[str, tuple[str, ...]] = {}
@@ -147,65 +124,11 @@ class SQLiteBackend(Backend):
         for rel in schema:
             self._create_table(rel.name, rel.attributes)
 
-    # -- per-thread connection leasing --------------------------------
-
-    def _connect(self) -> sqlite3.Connection:
-        # check_same_thread=False: our leasing discipline already keeps
-        # each connection on its own thread during use, and it lets
-        # close() release every lease no matter which thread calls it.
-        conn = sqlite3.connect(self._uri or self.path,
-                               isolation_level=None,
-                               check_same_thread=False,
-                               uri=self._uri is not None)
-        conn.execute('PRAGMA synchronous=OFF')
-        return conn
-
-    def _lease_connection(self) -> sqlite3.Connection:
-        """The calling thread's leased connection, created on first
-        use.  Leases of threads that have exited are closed here —
-        deterministic cleanup without a background reaper."""
-        conn = getattr(self._tls, 'conn', None)
-        if conn is not None:
-            if not self._closed:
-                return conn
-            # close() ran on another thread: this lease is already a
-            # closed connection — drop it and fail like any post-close
-            # use, not with a raw sqlite3.ProgrammingError.
-            self._tls.conn = None
-        with self._mutex:
-            if self._closed:
-                raise SchemaError(f'backend for {self.path!r} is closed')
-            conn = self._connect()
-            self._leases[threading.get_ident()] = \
-                (threading.current_thread(), conn)
-            for ident, (thread, stale) in list(self._leases.items()):
-                if not thread.is_alive():
-                    del self._leases[ident]
-                    if stale is not getattr(self, '_root_conn', None):
-                        stale.close()
-        self._tls.conn = conn
-        return conn
-
     @property
     def _conn(self) -> sqlite3.Connection:
-        return self._lease_connection()
-
-    def release_thread(self) -> None:
-        """Close the calling thread's leased connection (the root
-        lease stays open — it anchors in-memory databases)."""
-        conn = getattr(self._tls, 'conn', None)
-        if conn is None:
-            return
-        self._tls.conn = None
-        with self._mutex:
-            self._leases.pop(threading.get_ident(), None)
-        if conn is not self._root_conn:
-            conn.close()
-
-    def leased_threads(self) -> int:
-        """How many threads currently hold a connection lease."""
-        with self._mutex:
-            return len(self._leases)
+        if self._closed:
+            raise SchemaError(f'backend for {self.path!r} is closed')
+        return self._connection
 
     def _cache_rows(self, name: str, rows: frozenset) -> None:
         cache = self._rows_cache
@@ -596,20 +519,13 @@ class SQLiteBackend(Backend):
         return out
 
     def close(self) -> None:
-        """Close every thread's leased connection (idempotent)."""
+        """Close the connection (idempotent)."""
         with self._mutex:
             if self._closed:
                 return
             self._closed = True
-            for _thread, conn in self._leases.values():
-                conn.close()
-            self._leases.clear()
             # Stale Python-side row images must not outlive the
             # database they mirror: post-close reads should fail,
             # not answer from cache.
             self._rows_cache.clear()
-            try:
-                self._root_conn.close()
-            except sqlite3.ProgrammingError:   # already closed above
-                pass
-        self._tls.conn = None
+            self._connection.close()

@@ -368,8 +368,7 @@ class Engine:
         # ``replans``/``drift_probes`` counters).  The transaction
         # pipeline itself holds no engine-global mutable state — one
         # engine is driven by at most one transaction at a time, which
-        # is what the parallel sharded engine's per-shard fan-out
-        # guarantees.
+        # is what the sharded engine's per-shard fan-out guarantees.
         self._plan_lock = threading.RLock()
         #: Where planner statistics come from — both the seed at
         #: ``define_view`` time and the drift check/re-seed in
@@ -798,7 +797,8 @@ class Engine:
                                             entry.name, lvgn=entry.lvgn,
                                             stats=stats)
                 except Exception:
-                    pass  # keep the old incremental plan
+                    # Keep the old incremental plan, but count it.
+                    self.metrics.counter('plan.replan_failures')
             entry.stats_seed = dict(stats)
             entry.replans += 1
             entry.drift_probes = 0

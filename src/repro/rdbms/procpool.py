@@ -1,9 +1,8 @@
 """Process-per-shard execution: worker processes owning one engine each.
 
-Threads cannot beat the GIL on CPU-bound putback translation
-(BENCH_shard.json: 4 shards × 4 threads ≈ serial), so this module moves
-each shard of a :class:`~repro.rdbms.sharded.ShardedEngine` into a
-**worker process**.  The engine's transaction pipeline is already
+Threads cannot beat the GIL on CPU-bound putback translation, so this
+module moves each shard of a :class:`~repro.rdbms.sharded.ShardedEngine`
+into a **worker process**.  The engine's transaction pipeline is already
 message-shaped — ``begin`` / ``apply_statements`` / ``flush_reads`` /
 ``prepare_commit`` / ``apply_prepared`` are pure-data calls, and every
 value they carry (statements, deltas, strategies, compiled plans,
@@ -24,13 +23,16 @@ so the round trip is exact — see :mod:`repro.errors`).
 **Pipelining.**  The worker serves strictly in request order and every
 request gets exactly one reply, so the coordinator may submit several
 requests before draining any reply (:meth:`_RpcChannel.submit` /
-:meth:`_RpcChannel.drain`).  The sharded coordinator pipelines the
-statement fan-out — ``begin``, ``flush_reads`` and ``apply_statements``
-are fire-and-forget — and collects their outcomes at the next barrier
-*in submission order*, which is exactly the order the serial loop
-executes in, so the first error raised is the serial-identical one (the
-PR 5 thread contract, kept by construction: a pipelined call's effect
-and failure are both deterministic functions of its inputs).
+:meth:`_RpcChannel.drain`).  The sharded coordinator pipelines every
+fan-out through the ``send_*`` methods of :class:`ProcessShard`, which
+submit a request and return the thunk that drains its reply: the
+statement calls (``flush_reads``, ``apply_statements``) are collected
+at the next barrier, while prepare, apply and the scatter-gather reads
+submit to every shard before draining any.  Replies are drained *in
+submission order*, which is exactly the order the serial loop executes
+in, so the first error raised is the serial-identical one (a pipelined
+call's effect and failure are both deterministic functions of its
+inputs).
 
 Worker lifecycle
 ----------------
@@ -81,6 +83,7 @@ order, never results.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import os
 import pickle
@@ -88,7 +91,7 @@ import threading
 import time
 import weakref
 from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from repro.errors import SchemaError, ShardUnavailableError
 from repro.rdbms import faults
@@ -469,15 +472,15 @@ class _PreparedToken(NamedTuple):
 class ProcessShard:
     """Coordinator-side client for one worker process.
 
-    Presents the same surface as a local shard (see
-    ``LocalShard`` in :mod:`repro.rdbms.sharded`): the transaction
-    pipeline, scatter-gather reads, and catalog operations — plus the
-    pipelined ``queue_*`` variants the router uses, whose tokens the
-    cluster transaction collects and drains at its barriers.
+    Presents the surface of a local shard (see ``LocalShard`` in
+    :mod:`repro.rdbms.sharded`): the transaction pipeline,
+    scatter-gather reads, and catalog operations.  The calls the
+    coordinator fans out across shards come as pipelined ``send_*``
+    variants, each returning the thunk that drains its reply.
 
     ``wal_path`` gives the worker a durable log (opened *inside* the
     worker); restart then recovers committed state by replay, and
-    :meth:`apply_prepared` repairs a worker that died mid-apply (see
+    :meth:`send_apply_prepared` repairs a worker that died mid-apply (see
     the module docstring's Durability section).  ``rpc_timeout`` bounds
     each call's wait so a wedged worker surfaces as
     :class:`ShardUnavailableError`."""
@@ -599,6 +602,18 @@ class ProcessShard:
 
     # -- transaction pipeline (pipelined where the router allows) -----
 
+    def _send(self, method: str, *args) -> Callable[[], object]:
+        """Submit ``method`` now and return the thunk that drains its
+        reply — a blocking call split in two, so the coordinator can
+        have every worker busy before it waits on any.  A failed submit
+        fails in the thunk, at its place in the drain order."""
+        channel = self.channel
+        try:
+            token = channel.submit(method, *args)
+        except Exception as error:
+            return functools.partial(_reraise, error)
+        return functools.partial(channel.drain, token)
+
     def begin(self) -> int:
         # Synchronous (one RTT per first touch): begin cannot fail
         # logically, and a fire-and-forget token here would have no
@@ -608,29 +623,30 @@ class ProcessShard:
         self.channel.call('begin', txn)
         return txn
 
-    def queue_apply(self, txn: int, target: str, statements) -> int:
-        return self.channel.submit('apply_statements', txn, target,
-                                   list(statements))
+    def send_apply_statements(self, txn: int, target: str, statements):
+        return self._send('apply_statements', txn, target,
+                          list(statements))
 
-    def queue_flush(self, txn: int, target: str) -> int:
-        return self.channel.submit('flush_reads', txn, target)
-
-    def drain(self, token: int):
-        return self.channel.drain(token)
+    def send_flush_reads(self, txn: int, target: str):
+        return self._send('flush_reads', txn, target)
 
     def txn_rows(self, txn: int, target: str) -> frozenset:
         return self.channel.call('txn_rows', txn, target)
 
-    def prepare_commit(self, txn: int) -> _PreparedToken:
-        lsn, record = self.channel.call('prepare_commit', txn)
-        return _PreparedToken(txn, lsn, record)
+    def send_prepare_commit(self, txn: int):
+        reply = self._send('prepare_commit', txn)
+        return lambda: _PreparedToken(txn, *reply())
 
-    def apply_prepared(self, prepared: _PreparedToken) -> None:
-        try:
-            self.channel.call('apply_prepared', prepared.txn)
-        except ShardUnavailableError:
-            if not self._repair_apply(prepared):
-                raise
+    def send_apply_prepared(self, prepared: _PreparedToken):
+        reply = self._send('apply_prepared', prepared.txn)
+
+        def applied() -> None:
+            try:
+                reply()
+            except ShardUnavailableError:
+                if not self._repair_apply(prepared):
+                    raise
+        return applied
 
     def _repair_apply(self, token: _PreparedToken) -> bool:
         """A worker died (or its channel broke) *during* apply — after
@@ -676,14 +692,24 @@ class ProcessShard:
     def rows(self, name: str) -> frozenset:
         return self.channel.call('rows', name)
 
-    def snapshot(self):
-        return self.channel.call('snapshot')
+    def send_rows(self, name: str):
+        return self._send('rows', name)
+
+    def send_snapshot(self):
+        return self._send('snapshot')
 
     def load(self, name: str, rows) -> None:
+        self.send_load(name, rows)()
+
+    def send_load(self, name: str, rows):
         rows = frozenset(tuple(r) for r in rows)
-        self.channel.call('load', name, rows)
-        if self._wal_path is None:      # with a WAL the log records it
-            self._loads[name] = rows
+        reply = self._send('load', name, rows)
+
+        def loaded() -> None:
+            reply()
+            if self._wal_path is None:  # with a WAL the log records it
+                self._loads[name] = rows
+        return loaded
 
     def count(self, name: str) -> int:
         return self.channel.call('count', name)
@@ -705,6 +731,10 @@ class ProcessShard:
         self.channel.call('drop_view', name)
         self._views = [args for args in self._views
                        if args[0].view.name != name]
+
+
+def _reraise(error: BaseException):
+    raise error
 
 
 def _default_context():

@@ -52,46 +52,39 @@ runs, ⊥-constraint checks, schema validation — everything that can
 fail) and applies the prepared storage batches only after *all* shards
 prepared, so an abort mid-transaction leaves every shard untouched.
 
-**Parallelism.**  ``ShardedEngine(parallelism=N)`` backs the pipeline
-with a thread pool: statement fan-out (``apply_statements`` per routed
-shard), the cluster flush gate, the two-phase ``prepare_commit`` and
-the apply phase all run concurrently across the shards a transaction
-touches, and ``get``/``rows`` scatter-gathers reads concurrently.
-Per-shard state keeps the fan-out safe: each shard is one inner engine
-with its own backend (SQLite backends lease one connection per worker
-thread), compiled plans are immutable and shared, and the engine
-pipeline holds no engine-global mutable state during prepare.  Results
-are bit-identical to ``parallelism=1``: workers run every task to
-completion and the coordinator joins them in the order the serial loop
-would have run, so the *first* error — in first-touched shard order —
-is the one raised, no matter which worker failed first (the fuzz
-oracle's ``parallel`` axis pins this).  Reads during an in-flight
-transaction's *prepare* phase see pre-transaction state and are never
-blocked (prepare stages in Python; only the apply phase writes
-storage, and it excludes readers per shard with a lock).  During the
-brief apply phase itself, consistency is per shard: a multi-shard
-scatter-gather racing the apply may combine shards from either side
-of the commit — cross-shard snapshot isolation for readers is future
-work.
+**Concurrency.**  Thread execution (the default) runs every phase of
+the pipeline inline on the calling thread: CPU-bound putbacks gain
+nothing from Python threads, which the GIL serialises.  Per-shard state
+keeps the engine safe to share between threads all the same: each
+shard is one inner engine with its own backend (a SQLite backend holds
+one connection under its per-backend mutex), compiled plans are
+immutable and shared, and the engine pipeline holds no engine-global
+mutable state during prepare.  Reads from other threads during an
+in-flight transaction's *prepare* phase see pre-transaction state and
+are never blocked (prepare stages in Python; only the apply phase
+writes storage, and it excludes readers per shard with a lock).  During
+the brief apply phase itself, consistency is per shard: a multi-shard
+scatter-gather racing the apply may combine shards from either side of
+the commit — cross-shard snapshot isolation for readers is future work.
 
 **Process execution.**  ``ShardedEngine(execution='processes')`` moves
-each shard into a worker *process* (:mod:`repro.rdbms.procpool`),
-escaping the GIL that makes the thread mode ≈ serial on CPU-bound
-putbacks.  The coordinator logic above is unchanged — routing, the
+each shard into a worker *process* (:mod:`repro.rdbms.procpool`) — the
+parallel path.  The coordinator logic above is unchanged — routing, the
 flush gate, placement, 2PC — but each shard is driven through an RPC
-client instead of an inner engine: statement fan-out is *pipelined*
-(fire-and-forget submits whose outcomes are collected at the next
-barrier **in submission order**, which is the serial execution order,
-so the first error raised is serial-identical), while prepare, apply
-and scatter-gather reads are synchronous RPCs overlapped by the same
-thread pool (each blocks in ``recv``, releasing the GIL, so N workers
-genuinely compute in parallel).  A worker death surfaces as
-:class:`~repro.errors.ShardUnavailableError`: the cluster transaction
-aborts on every surviving shard (staging never touches storage, so
-abandoning it *is* rollback) and the pool restarts the worker.  Thread
-mode routes through the same :class:`LocalShard` client, so both modes
-run one code path and the differential fuzz oracle holds them
-bit-identical.
+client instead of an inner engine, and every fan-out is *pipelined*:
+the coordinator submits the request to every touched shard first, so
+all of their workers compute at once, then drains the replies **in
+submission order**, which is the serial execution order, so the first
+error raised is serial-identical (every reply is drained even after a
+failure).  Statement fan-out drains at the next barrier; prepare,
+apply and the scatter-gather reads (``rows``, ``database``, ``load``)
+drain at once (:meth:`ShardedEngine._pmap`).  A worker death surfaces
+as :class:`~repro.errors.ShardUnavailableError`: the cluster
+transaction aborts on every surviving shard (staging never touches
+storage, so abandoning it *is* rollback) and the pool restarts the
+worker.  Thread mode routes through the same :class:`LocalShard`
+surface, so both modes run one code path and the differential fuzz
+oracle holds them bit-identical.
 
 **Fault tolerance.**  With ``wal_dir`` set, *both* executions are
 durable: thread mode logs in the shard engines, process mode threads
@@ -118,7 +111,6 @@ import time
 import zlib
 from abc import ABC, abstractmethod
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -227,9 +219,11 @@ class RangePartitioner(Partitioner):
 class LocalShard:
     """In-process shard client: the thread-mode counterpart of
     :class:`~repro.rdbms.procpool.ProcessShard`, presenting the same
-    surface over an inner engine on the coordinator's heap.  Reads and
-    the apply phase take the shard's lock (the per-shard writer/reader
-    exclusion of §"Parallelism"); transaction staging is lock-free."""
+    surface (minus the pipelined ``send_*`` variants: thread mode runs
+    every call inline) over an inner engine on the coordinator's heap.
+    Reads and the apply phase take the shard's lock (the per-shard
+    writer/reader exclusion of §"Concurrency"); transaction staging is
+    lock-free."""
 
     def __init__(self, index: int, engine: Engine):
         self.index = index
@@ -301,7 +295,7 @@ class _ClusterTxn:
     """One cross-shard transaction's coordinator-side state: the
     per-shard transaction handles in **first-touched order** (the order
     prepare joins in) and, under process execution, the submission-order
-    log of pipelined RPC tokens — drained at the next barrier in exactly
+    log of pipelined replies — drained at the next barrier in exactly
     the order the serial loop would have executed the calls, so the
     first error to surface is the serial-identical one."""
 
@@ -309,7 +303,26 @@ class _ClusterTxn:
 
     def __init__(self):
         self.handles: dict[int, object] = {}
-        self.log: list[tuple[object, int]] = []
+        self.log: list[Callable[[], object]] = []
+
+
+def _drain(replies: Sequence[Callable[[], object]]) -> list:
+    """Every pipelined reply's value, drained in submission order — the
+    serial execution order.  Every reply is drained even after a
+    failure (an undrained reply would sit in its channel forever); the
+    first failure is then raised, so the error is the serial one."""
+    results: list = []
+    first_error: BaseException | None = None
+    for reply in replies:
+        try:
+            results.append(reply())
+        except Exception as error:
+            if first_error is None:
+                first_error = error
+            results.append(None)
+    if first_error is not None:
+        raise first_error
+    return results
 
 
 def _process_backend_specs(spec, n_shards: int) -> list:
@@ -346,17 +359,6 @@ def _process_backend_specs(spec, n_shards: int) -> list:
 # The sharded engine
 # ---------------------------------------------------------------------------
 
-#: Set inside pool workers so nested coordinator calls (a worker that
-#: ends up back in ShardedEngine code) never re-submit to the pool —
-#: re-entrant submission from a full pool would deadlock.
-_IN_WORKER = threading.local()
-
-
-def _run_in_worker(thunk: Callable):
-    _IN_WORKER.active = True
-    return thunk()
-
-
 class ShardedEngine:
     """N inner engines over key-range partitions, one backend each.
 
@@ -380,17 +382,12 @@ class ShardedEngine:
         ``{relation_or_view: attribute name (or position)}`` — the
         declared shard key of each partitioned relation.  Relations
         without a key are *global*: stored wholly on ``global_shard``.
-    parallelism:
-        Worker threads for the per-shard fan-out (capped at the shard
-        count).  Defaults to ``1`` under thread execution — the serial
-        baseline: every pipeline phase runs inline on the calling
-        thread, with identical results (§"Parallelism" in the module
-        docstring) — and to the shard count under process execution,
-        where the threads only overlap blocking RPCs.
     execution:
-        ``'threads'`` (inner engines on the coordinator's heap, default)
-        or ``'processes'`` (one worker process per shard, §"Process
-        execution"); results are bit-identical either way.
+        ``'threads'`` (inner engines on the coordinator's heap, every
+        phase inline on the calling thread; default) or
+        ``'processes'`` (one worker process per shard, every fan-out
+        pipelined across the workers — §"Process execution" in the
+        module docstring); results are bit-identical either way.
     rpc_timeout:
         Process execution only: seconds each RPC waits for its reply
         before the shard surfaces as
@@ -414,7 +411,6 @@ class ShardedEngine:
                  shard_keys: Mapping[str, str | int] | None = None,
                  batch_deltas: bool = True,
                  global_shard: int = 0,
-                 parallelism: int | None = None,
                  execution: str = 'threads',
                  wal_dir=None,
                  wal_sync: bool = True,
@@ -462,17 +458,6 @@ class ShardedEngine:
         self.global_shard = global_shard
         self.batch_deltas = batch_deltas
         self.execution = execution
-        if parallelism is None:
-            # Threads default to the serial baseline; processes default
-            # to full fan-out — overlapping the workers is the whole
-            # point of paying for them.
-            parallelism = shards if execution == 'processes' else 1
-        if parallelism < 1:
-            raise SchemaError(f'parallelism must be >= 1, '
-                              f'got {parallelism}')
-        self.parallelism = min(parallelism, shards)
-        self._pool: ThreadPoolExecutor | None = None
-        self._pool_lock = threading.Lock()
         self._transient_retries = transient_retries
         self._retry_backoff = retry_backoff
         # The exponential backoff is bounded twice (the uncapped
@@ -579,50 +564,24 @@ class ShardedEngine:
         for rel in schema.names():
             self._placement.setdefault(rel, self.global_shard)
 
-    # -- the worker pool ----------------------------------------------
+    # -- fan-out -------------------------------------------------------
 
-    def _ensure_pool(self) -> ThreadPoolExecutor | None:
-        if self.parallelism <= 1:
-            return None
-        pool = self._pool
-        if pool is None:
-            with self._pool_lock:
-                pool = self._pool
-                if pool is None:
-                    pool = ThreadPoolExecutor(
-                        max_workers=self.parallelism,
-                        thread_name_prefix='repro-shard')
-                    self._pool = pool
-        return pool
+    def _pmap(self, method: str, calls: Sequence[tuple[int, tuple]]
+              ) -> list:
+        """``method(*args)`` on each ``(shard index, args)`` of
+        ``calls``; the replies in call order.
 
-    def _pmap(self, thunks: Sequence[Callable]) -> list:
-        """Run ``thunks`` and return their results in order.
-
-        Parallel mode fans the thunks out to the pool, waits for ALL of
-        them, and raises the first exception *in thunk order* — the
-        error the serial loop would have raised, regardless of which
-        worker actually failed first.  Runs inline when there is
-        nothing to overlap (one thunk, ``parallelism=1``) or when the
-        calling thread is itself a pool worker (re-submitting from
-        inside the pool could exhaust it and deadlock)."""
-        if len(thunks) <= 1 or self.parallelism <= 1 \
-                or getattr(_IN_WORKER, 'active', False):
-            return [thunk() for thunk in thunks]
-        pool = self._ensure_pool()
-        futures = [pool.submit(_run_in_worker, thunk)
-                   for thunk in thunks]
-        results: list = []
-        first_error: BaseException | None = None
-        for future in futures:
-            try:
-                results.append(future.result())
-            except BaseException as error:
-                if first_error is None:
-                    first_error = error
-                results.append(None)
-        if first_error is not None:
-            raise first_error
-        return results
+        Thread execution calls inline, in order (the first failure
+        stops the loop, as any serial loop would).  Process execution
+        pipelines the fan-out: ``send_<method>`` submits every request
+        before any reply is awaited, so the touched workers compute at
+        once, and :func:`_drain` collects the replies in submission
+        order, raising the serial-identical first failure."""
+        if self._procpool is None:
+            return [getattr(self.shards[index], method)(*args)
+                    for index, args in calls]
+        return _drain([getattr(self.shards[index], f'send_{method}')(*args)
+                       for index, args in calls])
 
     # -- configuration introspection ----------------------------------
 
@@ -692,18 +651,8 @@ class ShardedEngine:
         shard lock (worker-serialised for process shards) so an apply
         phase cannot mutate the rows mid-copy.  Internal machinery
         (migrations, diagnostics) reads here; replica routing happens
-        one level up, in :meth:`_read_routed`."""
+        one level up, in :meth:`rows`."""
         return self.shards[index].rows(name)
-
-    def _read_routed(self, index: int, name: str,
-                     min_lsn: int | None) -> frozenset:
-        """One shard's contents for an external read: through the
-        shard's :class:`ReplicaSet` when replicas are attached (the
-        primary only sees the write path), else the primary."""
-        if self.replica_sets:
-            return frozenset(
-                self.replica_sets[index].read(name, min_lsn=min_lsn))
-        return self._read_shard(index, name)
 
     def _shard_min_lsns(self, min_lsn) -> list:
         """Normalise a read bound: ``None``, one int for every shard,
@@ -719,23 +668,21 @@ class ShardedEngine:
 
     def rows(self, name: str, *, min_lsn=None) -> frozenset:
         """Scatter-gather union of ``name`` across its shards (the
-        whole relation/view, exactly as the single engine reports it).
-        Concurrent under ``parallelism > 1``: each shard's view cache
-        is read by its own worker.  With read replicas attached the
-        fan-out lands on them instead of the primaries; ``min_lsn``
-        (an int, or the per-shard tuple from :meth:`commit_lsns`) is
-        the read-your-writes bound."""
+        whole relation/view, exactly as the single engine reports it);
+        process shards read their view caches concurrently (one
+        pipelined fan-out).  With read replicas attached the reads land
+        on them instead of the primaries (the primary only sees the
+        write path); ``min_lsn`` (an int, or the per-shard tuple from
+        :meth:`commit_lsns`) is the read-your-writes bound."""
         bounds = self._shard_min_lsns(min_lsn)
+        if not self.replica_sets:
+            return self._gather_primary(name)
         place = self._placement_of(name)
-        if place is not None:
-            return self._read_routed(place, name, bounds[place])
-        parts = self._pmap([
-            (lambda index=index: self._read_routed(index, name,
-                                                   bounds[index]))
-            for index in range(self.n_shards)])
+        indexes = range(self.n_shards) if place is None else (place,)
         gathered: set = set()
-        for part in parts:
-            gathered |= part
+        for index in indexes:
+            gathered.update(self.replica_sets[index].read(
+                name, min_lsn=bounds[index]))
         return frozenset(gathered)
 
     def commit_lsns(self) -> tuple[int, ...]:
@@ -763,16 +710,15 @@ class ShardedEngine:
                      for index in range(self.n_shards))
 
     def _gather_primary(self, name: str) -> frozenset:
-        """Union of ``name`` over the *primary* shards — what internal
+        """Union of ``name`` over the *primary* shards — what
+        :meth:`rows` serves without replicas, and what internal
         machinery (row migrations, statistics) must read regardless of
         replica routing."""
         place = self._placement_of(name)
         if place is not None:
             return self._read_shard(place, name)
-        gathered: set = set()
-        for index in range(self.n_shards):
-            gathered |= self._read_shard(index, name)
-        return frozenset(gathered)
+        return frozenset().union(*self._pmap(
+            'rows', [(index, (name,)) for index in range(self.n_shards)]))
 
     def count(self, name: str) -> int:
         """Cluster-wide cardinality, aggregated from the per-shard
@@ -785,9 +731,8 @@ class ShardedEngine:
 
     def database(self) -> Database:
         """A frozen snapshot of the cluster-wide base-table state."""
-        snapshots = self._pmap([
-            (lambda client=client: client.snapshot())
-            for client in self.shards])
+        snapshots = self._pmap('snapshot',
+                               [(index, ()) for index in range(self.n_shards)])
         merged: dict[str, set] = {}
         for snapshot in snapshots:
             for name in snapshot.names():
@@ -808,20 +753,13 @@ class ShardedEngine:
         shares: dict[int, set] = {i: set() for i in range(self.n_shards)}
         for row in loaded:
             shares[classify(row)].add(row)
-        self._pmap([
-            (lambda index=index: self.shards[index].load(name,
-                                                         shares[index]))
-            for index in range(self.n_shards)])
+        self._pmap('load', [(index, (name, shares[index]))
+                            for index in range(self.n_shards)])
 
     def close(self) -> None:
-        """Shut the worker pool down (joining every worker, which
-        bounds when per-thread backend leases stop being created) and
-        close every shard — the backend's thread leases for local
-        shards, the worker process for process shards.  Idempotent."""
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
+        """Close every shard — the backend for local shards, the worker
+        process for process shards — and the read replicas.
+        Idempotent."""
         for replica_set in self.replica_sets:
             replica_set.close()
         if self._procpool is not None:
@@ -1126,28 +1064,24 @@ class ShardedEngine:
         The apply phase carries the same trust the single engine
         places in ``Backend.apply_deltas``: a storage-level I/O
         failure there is not compensated (durable cross-shard 2PC
-        logs are out of scope for this reproduction; under
-        ``parallelism > 1`` every shard's apply is attempted even if a
-        sibling's storage write fails, where the serial loop would
-        have stopped — both leave a partially applied batch only on
-        storage-level I/O failure).
+        logs are out of scope for this reproduction; under process
+        execution every shard's apply is attempted even if a sibling's
+        storage write fails, where the inline thread-mode loop stops —
+        both leave a partially applied batch only on storage-level I/O
+        failure).
 
-        Under ``parallelism > 1`` the prepare phase runs concurrently
-        across the touched shards — it is embarrassingly parallel:
-        prepare only stages in Python and every already-prepared
-        shard's work is simply abandoned on abort, which *is* the
-        rollback (no shard storage was touched).  The coordinator
-        waits for every in-flight prepare and then joins in
-        first-touched order, so the raised error is deterministic and
-        serial-identical.
-
-        Under ``execution='processes'`` the statement fan-out is
-        additionally *pipelined*: routing submits RPCs without waiting
-        and a barrier before any synchronous read — and before the
-        prepare phase — drains every outcome in submission order, so
-        the first error surfaced is still the serial one.  Any failure
-        (including a worker death) aborts the transaction on every
-        shard and restarts dead workers before re-raising.
+        Under ``execution='processes'`` every phase is *pipelined*
+        across the workers.  Routing submits the statement RPCs without
+        waiting, and a barrier before any synchronous read — and before
+        the prepare phase — drains every outcome in submission order.
+        Prepare and apply each submit to every touched shard, then
+        drain in first-touched order.  Prepare is embarrassingly
+        parallel: it only stages, and every already-prepared shard's
+        work is simply abandoned on abort, which *is* the rollback (no
+        shard storage was touched).  The first error surfaced is
+        therefore still the serial one.  Any failure (including a
+        worker death) aborts the transaction on every shard and
+        restarts dead workers before re-raising.
 
         ``transient_retries`` re-runs the transaction after a
         :class:`ShardUnavailableError` that aborted it *cleanly* —
@@ -1205,10 +1139,9 @@ class ShardedEngine:
                 metrics.observe('cluster.route_seconds',
                                 routed - started)
             order = list(txn.handles.items())
-            prepared = self._pmap([
-                (lambda index=index, handle=handle:
-                 self.shards[index].prepare_commit(handle))
-                for index, handle in order])
+            prepared = self._pmap('prepare_commit',
+                                  [(index, (handle,))
+                                   for index, handle in order])
             if timed:
                 metrics.observe('cluster.prepare_seconds',
                                 time.perf_counter() - routed)
@@ -1218,10 +1151,9 @@ class ShardedEngine:
             raise
         apply_started = time.perf_counter() if timed else 0.0
         try:
-            self._pmap([
-                (lambda index=index, commit=commit:
-                 self.shards[index].apply_prepared(commit))
-                for (index, _), commit in zip(order, prepared)])
+            self._pmap('apply_prepared',
+                       [(index, (commit,))
+                        for (index, _), commit in zip(order, prepared)])
             if timed:
                 metrics.counter('cluster.txns')
                 metrics.observe('cluster.apply_seconds',
@@ -1239,37 +1171,29 @@ class ShardedEngine:
             raise
 
     def _barrier(self, txn: _ClusterTxn) -> None:
-        """Drain every pipelined outcome in submission order and raise
-        the first failure — the serial-identical error.  Every token is
-        drained even after a failure (an undrained reply would sit in
-        the channel forever)."""
+        """Drain every pipelined statement outcome and raise the first
+        failure — the serial-identical error (see :func:`_drain`)."""
         log, txn.log = txn.log, []
-        first_error: BaseException | None = None
-        for client, token in log:
-            try:
-                client.drain(token)
-            except Exception as error:
-                if first_error is None:
-                    first_error = error
-        if first_error is not None:
-            raise first_error
+        _drain(log)
 
     def _abort(self, txn: _ClusterTxn) -> None:
         """Roll the cluster transaction back: drain what is still in
         flight (outcomes no longer matter), drop every shard's staged
         state, and restart any worker that died — so the *next*
-        transaction finds a serving cluster."""
-        for client, token in txn.log:
+        transaction finds a serving cluster.  A failure on the way is
+        swallowed, since the error being raised ranks first, but
+        counted as ``cluster.abort_errors``."""
+        for reply in txn.log:
             try:
-                client.drain(token)
+                reply()
             except Exception:
-                pass
+                self._metrics.counter('cluster.abort_errors')
         txn.log = []
         for index, handle in txn.handles.items():
             try:
                 self.shards[index].abort(handle)
             except Exception:
-                pass
+                self._metrics.counter('cluster.abort_errors')
         if self._procpool is not None:
             self._procpool.restart_dead()
 
@@ -1280,33 +1204,27 @@ class ShardedEngine:
             txn.handles[index] = self.shards[index].begin()
         return txn.handles[index]
 
+    def _post(self, txn: _ClusterTxn, index: int, method: str,
+              *args) -> None:
+        """One statement-pipeline call on shard ``index``: inline under
+        thread execution (a failure raises here, as in the serial
+        loop); under process execution submitted without waiting, its
+        reply queued on ``txn.log`` for the next :meth:`_barrier`."""
+        client = self.shards[index]
+        if self._procpool is None:
+            getattr(client, method)(*args)
+        else:
+            txn.log.append(getattr(client, f'send_{method}')(*args))
+
     def _forward(self, txn: _ClusterTxn, target: str,
                  per_shard: dict[int, list[Statement]]) -> None:
-        if self._procpool is not None:
-            for index in sorted(per_shard):
-                statements = per_shard[index]
-                if statements:
-                    # Handle creation position fixes first-touched
-                    # (prepare) order; submit position fixes error
-                    # order — both on the routing thread.
-                    handle = self._handle(txn, index)
-                    client = self.shards[index]
-                    txn.log.append((client, client.queue_apply(
-                        handle, target, statements)))
-            return
-        thunks = []
         for index in sorted(per_shard):
             statements = per_shard[index]
             if statements:
-                # The handle MUST be created here, on the routing
-                # thread: its insertion position in ``txn.handles`` is
-                # the first-touched order that prepare joins in.
-                handle = self._handle(txn, index)
-                thunks.append(
-                    lambda client=self.shards[index], handle=handle,
-                    statements=statements:
-                    client.apply_statements(handle, target, statements))
-        self._pmap(thunks)
+                # Handle creation position fixes first-touched
+                # (prepare) order; submit position fixes error order.
+                self._post(txn, index, 'apply_statements',
+                           self._handle(txn, index), target, statements)
 
     def _route_bucket(self, txn: _ClusterTxn, target: str,
                       statements: Sequence[Statement]) -> None:
@@ -1331,28 +1249,14 @@ class ShardedEngine:
         # shards can surface in a different order than on a single
         # node — committing the same state but raising a different
         # error type, which the differential oracle forbids.  The
-        # drains are independent plan runs, one per shard: fan out
-        # (threads) or pipeline (processes — per-channel FIFO keeps
-        # each shard's gate ahead of this bucket's statements).
-        if self._procpool is not None:
-            for index, handle in list(txn.handles.items()):
-                client = self.shards[index]
-                txn.log.append((client,
-                                client.queue_flush(handle, target)))
-        else:
-            self._pmap([
-                (lambda client=self.shards[index], handle=handle:
-                 client.flush_reads(handle, target))
-                for index, handle in list(txn.handles.items())])
+        # drains are independent plan runs, one per shard (pipelined
+        # under process execution: per-channel FIFO keeps each shard's
+        # gate ahead of this bucket's statements).
+        for index, handle in list(txn.handles.items()):
+            self._post(txn, index, 'flush_reads', handle, target)
         if place is not None:
-            handle = self._handle(txn, place)
-            client = self.shards[place]
-            if self._procpool is not None:
-                txn.log.append((client, client.queue_apply(
-                    handle, target, list(statements))))
-            else:
-                client.apply_statements(handle, target,
-                                        list(statements))
+            self._post(txn, place, 'apply_statements',
+                       self._handle(txn, place), target, list(statements))
             return
         key_attr = self._key_attr[target]
         key_pos = self._key_pos[target]
@@ -1430,8 +1334,8 @@ class ShardedEngine:
         the old row's owner, insertions by the new row's), and re-emit
         each shard's share as DELETE + INSERT statements.
 
-        The gather is a synchronous read, so under process execution
-        every pipelined outcome submitted before it must surface first
+        The gather is a synchronous read, so every pipelined outcome
+        submitted before it (under process execution) must surface first
         (:meth:`_barrier`) — a failed earlier translation stops the
         derivation exactly where it stops the serial loop.  The
         per-shard reads themselves stay serial in shard order: each
@@ -1441,8 +1345,7 @@ class ShardedEngine:
         key_attr = self._key_attr[target]
         pinned = self._where_shard(target, statement.where, key_attr)
         shards = range(self.n_shards) if pinned is None else (pinned,)
-        if self._procpool is not None:
-            self._barrier(txn)
+        self._barrier(txn)
         victims: set = set()
         replacements: set = set()
         match = compile_where(statement.where, schema)

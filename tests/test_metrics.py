@@ -229,6 +229,51 @@ class TestEngineMetrics:
         finally:
             engine.close()
 
+    def test_replan_failure_counted(self, luxury_strategy, monkeypatch):
+        """A drift re-plan whose incremental recompile fails keeps the
+        old incremental plan (the re-seed still happens) and counts
+        the failure."""
+        from repro.rdbms import engine as engine_mod
+        engine = _luxury_engine(luxury_strategy, backend='memory')
+        try:
+            entry = engine.view('luxuryitems')
+            kept = entry.incremental_plan
+            engine.load('items', [(i, f'x{i}', 2000 + i)
+                                  for i in range(500)])
+
+            def failing(*args, **kwargs):
+                raise RuntimeError('recompile failed')
+
+            monkeypatch.setattr(engine_mod, 'incrementalize_plan',
+                                failing)
+            engine._maybe_replan(entry)
+            assert entry.replans == 1
+            assert entry.incremental_plan is kept
+            counters = engine.metrics.snapshot()['counters']
+            assert counters['plan.replan_failures'] == 1
+            assert counters['plan.replans'] == 1
+        finally:
+            engine.close()
+
+    def test_bench_all_records_metrics_error(self, monkeypatch):
+        """A config whose metrics snapshot cannot be collected keeps
+        its throughput point and carries the error instead."""
+        from repro.benchsuite import bench_all
+
+        def failing(engine):
+            raise RuntimeError('snapshot failed')
+
+        monkeypatch.setattr(bench_all, 'CONFIGS', ('memory', 'sqlite'))
+        monkeypatch.setattr(Engine, 'metrics_snapshot', failing)
+        points, sample = bench_all.run_bench_all(
+            50, rounds=1, txns=1, stmts=1, reads=1)
+        assert [p['config'] for p in points] == ['memory', 'sqlite']
+        for point in points:
+            assert point['metrics_error'] == \
+                'RuntimeError: snapshot failed'
+            assert point['ops_per_second'] > 0
+        assert sample == {}
+
     def test_disabled_engine_registry_stays_empty(self, luxury_strategy):
         engine = Engine(luxury_strategy.sources)
         engine.metrics.enabled = False
@@ -286,6 +331,48 @@ class TestShardedMetrics:
                 before.get('cluster.aborts', 0) + 1
             assert counters.get('cluster.txns', 0) == \
                 before.get('cluster.txns', 0)
+        finally:
+            sharded.close()
+
+    def test_abort_errors_counted(self, luxury_strategy, monkeypatch):
+        """A shard abort that fails during rollback is swallowed — the
+        transaction's own error still surfaces — but counted."""
+        sharded = ShardedEngine(luxury_strategy.sources, shards=2,
+                                shard_keys={'items': 'iid',
+                                            'luxuryitems': 'iid'})
+        sharded.load('items', [(1, 'watch', 5000)])
+        sharded.define_view(luxury_strategy, validate_first=False)
+
+        def failing_abort(shard, handle):
+            raise RuntimeError('abort failed')
+
+        monkeypatch.setattr(sharded_mod.LocalShard, 'abort',
+                            failing_abort)
+        try:
+            with pytest.raises(ConstraintViolation):
+                sharded.execute_many(
+                    [('luxuryitems', [Insert((9, 'socks', 8))])])
+            counters = sharded.metrics()['counters']
+            assert counters['cluster.aborts'] == 1
+            assert counters['cluster.abort_errors'] == 1
+        finally:
+            sharded.close()
+
+    def test_abort_counts_failed_inflight_replies(self, union_strategy):
+        """A pipelined reply that fails while the abort drains it is
+        counted too, and the log is still emptied."""
+        sharded = _union_cluster(union_strategy)
+        try:
+            txn = sharded_mod._ClusterTxn()
+
+            def failed_reply():
+                raise ShardUnavailableError(0, 'gone')
+
+            txn.log.extend([failed_reply, lambda: None, failed_reply])
+            sharded._abort(txn)
+            assert txn.log == []
+            counters = sharded.metrics()['counters']
+            assert counters['cluster.abort_errors'] == 2
         finally:
             sharded.close()
 

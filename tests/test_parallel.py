@@ -1,22 +1,22 @@
-"""Concurrency suite for the thread-pooled sharded engine.
+"""Concurrency suite for the sharded engine.
 
-What ``ShardedEngine(parallelism=N)`` must guarantee, and what these
-tests pin:
+Thread execution runs every pipeline phase inline on the calling
+thread; process execution pipelines every fan-out across the worker
+processes.  What these tests pin:
 
-* committed state and raise behavior are bit-identical to the serial
-  (``parallelism=1``) pipeline — including WHICH constraint violation
-  surfaces when several shards fail in the same transaction (the
-  coordinator joins prepares in first-touched order);
-* an abort while sibling shards are still mid-prepare waits for every
-  in-flight worker and leaves every shard untouched;
-* readers are never blocked by an in-flight transaction's prepare
-  phase and observe pre-transaction state (only the apply phase takes
-  the per-shard locks);
-* the fan-out is real: two shards' prepares genuinely overlap in time
-  (a barrier that only opens when both are in-flight);
-* SQLite shards work from pool worker threads — connections are
-  leased per thread (the thread-affinity regression) and released
-  deterministically.
+* process shards commit bit-identical state to thread shards and raise
+  the same first constraint violation when several shards fail in one
+  transaction (prepares join in first-touched order);
+* an abort while a transaction driven from a user thread is mid-prepare
+  leaves every shard untouched;
+* readers on other threads are never blocked by an in-flight
+  transaction's prepare phase and observe pre-transaction state (only
+  the apply phase takes the per-shard locks);
+* the process fan-out is real: every touched shard's prepare, apply and
+  read request is submitted before the first of their replies is
+  drained, so the workers compute at the same time;
+* a SQLite backend's one connection serves every thread, under the
+  backend mutex.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from repro.errors import ConstraintViolation, SchemaError
 from repro.rdbms.backends.memory import MemoryBackend
 from repro.rdbms.dml import Delete, Insert
 from repro.rdbms.engine import Engine
+from repro.rdbms.procpool import _RpcChannel
 from repro.rdbms.sharded import RangePartitioner, ShardedEngine
 
 WAIT = 10.0         # generous upper bound; normal runs take milliseconds
@@ -62,26 +63,7 @@ class GateBackend(MemoryBackend):
             new_view_rows=new_view_rows)
 
 
-class BarrierBackend(MemoryBackend):
-    """Blocks ∂put evaluation on a shared barrier: the barrier opens
-    only when every participating shard is in-flight simultaneously —
-    true overlap, not interleaving."""
-
-    def __init__(self, schema, barrier: threading.Barrier):
-        super().__init__(schema)
-        self.armed = False
-        self.barrier = barrier
-
-    def evaluate_incremental_batch(self, entry, sources, view_handle,
-                                   delta, *, new_view_rows=None):
-        if self.armed:
-            self.barrier.wait(timeout=WAIT)
-        return super().evaluate_incremental_batch(
-            entry, sources, view_handle, delta,
-            new_view_rows=new_view_rows)
-
-
-def build_engine(luxury_strategy, *, parallelism, backends=None,
+def build_engine(luxury_strategy, *, execution='threads', backends=None,
                  shards=2):
     """Two range shards of ``luxuryitems``: iid < 100 on shard 0."""
     boundaries = [100 * (i + 1) for i in range(shards - 1)]
@@ -90,7 +72,7 @@ def build_engine(luxury_strategy, *, parallelism, backends=None,
         partitioner=RangePartitioner(boundaries),
         backends=backends,
         shard_keys={'luxuryitems': 'iid', 'items': 'iid'},
-        parallelism=parallelism)
+        execution=execution)
     engine.load('items', BASE_ROWS)
     engine.define_view(luxury_strategy, validate_first=False)
     engine.rows('luxuryitems')
@@ -100,8 +82,11 @@ def build_engine(luxury_strategy, *, parallelism, backends=None,
 class TestParallelEquivalence:
 
     def test_parallel_matches_serial(self, luxury_strategy):
-        serial = build_engine(luxury_strategy, parallelism=1)
-        parallel = build_engine(luxury_strategy, parallelism=2)
+        """Process shards (the parallel path) against thread shards
+        (every phase inline): same committed state after every
+        transaction."""
+        serial = build_engine(luxury_strategy)
+        parallel = build_engine(luxury_strategy, execution='processes')
         txns = [
             [('luxuryitems', [Insert((7, 'tiara', 9000))]),
              ('luxuryitems', [Insert((107, 'bust', 8000))])],
@@ -110,47 +95,41 @@ class TestParallelEquivalence:
             [('luxuryitems', [Insert((8, 'orb', 7000)),
                               Delete({'iid': 107})])],
         ]
-        for txn in txns:
-            serial.execute_many(txn)
-            parallel.execute_many(txn)
-            assert parallel.database() == serial.database()
-            assert parallel.rows('luxuryitems') \
-                == serial.rows('luxuryitems')
-        serial.close()
-        parallel.close()
-
-    def test_parallelism_capped_at_shards(self, luxury_strategy):
-        engine = build_engine(luxury_strategy, parallelism=64)
-        assert engine.parallelism == 2
-        engine.close()
-
-    def test_parallelism_must_be_positive(self, luxury_strategy):
-        with pytest.raises(SchemaError):
-            build_engine(luxury_strategy, parallelism=0)
+        try:
+            for txn in txns:
+                serial.execute_many(txn)
+                parallel.execute_many(txn)
+                assert parallel.database() == serial.database()
+                assert parallel.rows('luxuryitems') \
+                    == serial.rows('luxuryitems')
+        finally:
+            serial.close()
+            parallel.close()
 
 
 class TestDeterministicFirstViolation:
 
-    def _witness(self, luxury_strategy, parallelism, txn):
-        engine = build_engine(luxury_strategy, parallelism=parallelism)
-        before = engine.database()
-        with pytest.raises(ConstraintViolation) as err:
-            engine.execute_many(txn)
-        assert engine.database() == before
-        engine.close()
+    def _witness(self, luxury_strategy, execution, txn):
+        engine = build_engine(luxury_strategy, execution=execution)
+        try:
+            before = engine.database()
+            with pytest.raises(ConstraintViolation) as err:
+                engine.execute_many(txn)
+            assert engine.database() == before
+        finally:
+            engine.close()
         return str(err.value)
 
     def test_first_touched_shard_wins_in_one_bucket(
             self, luxury_strategy):
         """Both shards violate inside one (coalesced) bucket: the
         fan-out forwards shards in sorted order, so shard 0 is
-        first-touched and its witness must surface — serial and
-        parallel alike, even though parallel workers may finish in
-        either order."""
+        first-touched and its witness must surface — inline and
+        pipelined alike, whichever worker replies first."""
         txn = [('luxuryitems', [Insert((150, 'cheap_hi', 10))]),
                ('luxuryitems', [Insert((50, 'cheap_lo', 20))])]
-        witnesses = {self._witness(luxury_strategy, p, txn)
-                     for p in (1, 2, 2)}
+        witnesses = {self._witness(luxury_strategy, execution, txn)
+                     for execution in ('threads', 'processes')}
         assert len(witnesses) == 1
         assert 'cheap_lo' in witnesses.pop()   # shard 0 sorts first
 
@@ -158,13 +137,13 @@ class TestDeterministicFirstViolation:
             self, luxury_strategy):
         """Separated buckets (no coalescing): shard 1's working is
         created first, so its violation wins over shard 0's — the
-        serial first-staged drain order, preserved by the parallel
-        prepare join."""
+        serial first-staged drain order, preserved by the pipelined
+        prepare drain."""
         txn = [('luxuryitems', [Insert((150, 'cheap_hi', 10))]),
                ('items', [Insert((160, 'plain', 50))]),
                ('luxuryitems', [Insert((50, 'cheap_lo', 20))])]
-        witnesses = {self._witness(luxury_strategy, p, txn)
-                     for p in (1, 2, 2)}
+        witnesses = {self._witness(luxury_strategy, execution, txn)
+                     for execution in ('threads', 'processes')}
         assert len(witnesses) == 1
         assert 'cheap_hi' in witnesses.pop()   # shard 1 touched first
 
@@ -173,11 +152,11 @@ class TestMidFlightAbort:
 
     def test_abort_waits_for_inflight_prepare_and_rolls_back(
             self, luxury_strategy):
-        """Shard 0's prepare is held at the gate while shard 1's
-        prepare fails: the coordinator must wait for shard 0, raise
-        shard 1's violation, and leave both shards untouched."""
+        """Shard 0's prepare is held at the gate, then shard 1's
+        prepare fails: the coordinator must raise shard 1's violation
+        once shard 0 is released, and leave both shards untouched."""
         gated = GateBackend(luxury_strategy.sources)
-        engine = build_engine(luxury_strategy, parallelism=2,
+        engine = build_engine(luxury_strategy,
                               backends=[gated, 'memory'])
         before = engine.database()
         before_view = engine.rows('luxuryitems')
@@ -217,7 +196,7 @@ class TestConcurrentReads:
         blocked and sees pre-transaction state; after commit it sees
         the update."""
         gated = GateBackend(luxury_strategy.sources)
-        engine = build_engine(luxury_strategy, parallelism=2,
+        engine = build_engine(luxury_strategy,
                               backends=[gated, 'memory'])
         before_view = engine.rows('luxuryitems')
         gated.armed = True
@@ -240,35 +219,60 @@ class TestConcurrentReads:
 
 class TestTrueOverlap:
 
-    def test_two_shards_prepare_simultaneously(self, luxury_strategy):
-        """The barrier opens only if BOTH shards' prepares are
-        in-flight at the same moment — serial execution would time
-        out.  This is the proof the fan-out actually overlaps."""
-        barrier = threading.Barrier(2)
-        backends = [BarrierBackend(luxury_strategy.sources, barrier),
-                    BarrierBackend(luxury_strategy.sources, barrier)]
-        engine = build_engine(luxury_strategy, parallelism=2,
-                              backends=backends)
-        for backend in backends:
-            backend.armed = True
-        engine.execute_many([
-            ('luxuryitems', [Insert((11, 'sceptre', 5000))]),
-            ('luxuryitems', [Insert((111, 'globe', 5000))]),
-        ])
-        for backend in backends:
-            backend.armed = False
-        assert not barrier.broken
-        assert {(11, 'sceptre', 5000), (111, 'globe', 5000)} \
-            <= engine.rows('luxuryitems')
-        engine.close()
+    def test_process_fanout_submits_before_draining(
+            self, luxury_strategy, monkeypatch):
+        """Record every RPC submit and every drain of the coordinator:
+        each touched shard's ``prepare_commit``, ``apply_prepared`` and
+        ``rows`` request must be submitted before the first of those
+        replies is awaited — so both workers hold a request at once.
+        This is the proof the fan-out overlaps the workers."""
+        engine = build_engine(luxury_strategy, execution='processes')
+        events: list = []
+        submit, drain = _RpcChannel.submit, _RpcChannel.drain
+
+        def recording_submit(channel, method, *args):
+            token = submit(channel, method, *args)
+            events.append(('submit', channel.shard, token, method))
+            return token
+
+        def recording_drain(channel, token):
+            events.append(('drain', channel.shard, token, None))
+            return drain(channel, token)
+
+        monkeypatch.setattr(_RpcChannel, 'submit', recording_submit)
+        monkeypatch.setattr(_RpcChannel, 'drain', recording_drain)
+        try:
+            engine.execute_many([
+                ('luxuryitems', [Insert((11, 'sceptre', 5000))]),
+                ('luxuryitems', [Insert((111, 'globe', 5000))]),
+            ])
+            assert {(11, 'sceptre', 5000), (111, 'globe', 5000)} \
+                <= engine.rows('luxuryitems')
+        finally:
+            monkeypatch.undo()
+            engine.close()
+        method_of = {(shard, token): method
+                     for kind, shard, token, method in events
+                     if kind == 'submit'}
+        for method in ('prepare_commit', 'apply_prepared', 'rows'):
+            submits = [(at, shard)
+                       for at, (kind, shard, token, name)
+                       in enumerate(events)
+                       if kind == 'submit' and name == method]
+            drains = [at for at, (kind, shard, token, _)
+                      in enumerate(events)
+                      if kind == 'drain'
+                      and method_of[shard, token] == method]
+            assert {shard for _, shard in submits} == {0, 1}, method
+            assert max(at for at, _ in submits) < min(drains), method
 
     def test_stress_concurrent_readers_and_transactions(
             self, luxury_strategy):
-        """Transactions against a parallel engine while reader threads
+        """Transactions against process shards while reader threads
         hammer scatter-gather ``rows``: no exceptions, and the final
-        state equals the serial reference."""
-        parallel = build_engine(luxury_strategy, parallelism=2)
-        serial = build_engine(luxury_strategy, parallelism=1)
+        state equals the serial (thread-shard) reference."""
+        parallel = build_engine(luxury_strategy, execution='processes')
+        serial = build_engine(luxury_strategy)
         stop = threading.Event()
         errors: list = []
 
@@ -296,32 +300,81 @@ class TestTrueOverlap:
             stop.set()
             for thread in readers:
                 thread.join(WAIT)
-        assert not errors
-        assert parallel.database() == serial.database()
-        assert parallel.rows('luxuryitems') == serial.rows('luxuryitems')
-        parallel.close()
-        serial.close()
+        try:
+            assert not errors
+            assert parallel.database() == serial.database()
+            assert parallel.rows('luxuryitems') \
+                == serial.rows('luxuryitems')
+        finally:
+            parallel.close()
+            serial.close()
 
 
 class TestSQLiteThreadAffinity:
 
     def test_sqlite_shard_from_worker_thread(self, luxury_strategy):
-        """The regression that motivated per-thread leasing: a SQLite
-        shard driven by pool workers used to die with SQLite's
-        cross-thread ProgrammingError."""
-        engine = build_engine(luxury_strategy, parallelism=2,
+        """SQLite shards built on this thread serve a transaction run
+        on another one: each backend's connection is opened with
+        ``check_same_thread=False`` (SQLite's cross-thread
+        ProgrammingError is the regression)."""
+        engine = build_engine(luxury_strategy,
                               backends=['sqlite', 'sqlite'])
-        engine.execute_many([
+        worker = threading.Thread(target=engine.execute_many, args=([
             ('luxuryitems', [Insert((12, 'fan', 4000))]),
             ('luxuryitems', [Insert((112, 'lamp', 4500))]),
-        ])
+        ],))
+        worker.start()
+        worker.join(WAIT)
         assert {(12, 'fan', 4000), (112, 'lamp', 4500)} \
             <= engine.rows('luxuryitems')
         engine.close()
 
+    def test_shared_connection_under_stress(self, luxury_strategy):
+        """One writer and four readers share a SQLite engine's single
+        connection with a tiny switch interval: every transaction
+        inserts a pair of rows through the view (TEMP staging on the
+        shared connection), so a read that saw a torn write, or a
+        statement interleaved into another thread's, shows an odd
+        count or raises."""
+        import sys
+        engine = Engine(luxury_strategy.sources, backend='sqlite')
+        engine.load('items', BASE_ROWS)
+        engine.define_view(luxury_strategy, validate_first=False)
+        stop = threading.Event()
+        errors: list = []
+
+        def reader():
+            while not stop.is_set():
+                try:
+                    for name in ('items', 'luxuryitems'):
+                        assert len(engine.rows(name)) % 2 == 0, name
+                except Exception as exc:      # pragma: no cover
+                    errors.append(exc)
+                    return
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        readers = [threading.Thread(target=reader) for _ in range(4)]
+        try:
+            for thread in readers:
+                thread.start()
+            for n in range(40):
+                engine.execute_many([('luxuryitems', [
+                    Insert((1000 + 2 * n, f'p{n}', 3000)),
+                    Insert((1001 + 2 * n, f'q{n}', 3000))])])
+        finally:
+            stop.set()
+            for thread in readers:
+                thread.join(WAIT)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in readers)
+        assert not errors
+        assert len(engine.rows('luxuryitems')) == len(BASE_ROWS) + 80
+        engine.close()
+
     def test_engine_usable_from_foreign_thread(self):
-        """A plain SQLite-backed Engine crosses threads freely: each
-        thread leases its own connection."""
+        """A plain SQLite-backed Engine crosses threads freely, and
+        after close() every use fails with SchemaError."""
         from repro.relational.schema import DatabaseSchema
         schema = DatabaseSchema.build(t={'a': 'int', 'b': 'string'})
         engine = Engine(schema, backend='sqlite')
@@ -330,38 +383,14 @@ class TestSQLiteThreadAffinity:
             pool.submit(engine.insert, 't', (2, 'y')).result()
             seen = pool.submit(engine.rows, 't').result()
         assert seen == {(1, 'x'), (2, 'y')}
-        assert engine.backend.leased_threads() >= 2
-        engine.close()
-
-    def test_release_thread_is_deterministic(self):
-        from repro.relational.schema import DatabaseSchema
-        schema = DatabaseSchema.build(t={'a': 'int'})
-        engine = Engine(schema, backend='sqlite')
-        engine.load('t', {(1,)})
         backend = engine.backend
-        released = threading.Event()
-
-        def use_and_release():
-            # A write must touch SQLite (reads may be served from the
-            # Python-side row cache without ever leasing a connection).
-            engine.insert('t', (2,))
-            before = backend.leased_threads()
-            assert before >= 2            # root lease + this worker
-            backend.release_thread()
-            assert backend.leased_threads() == before - 1
-            released.set()
-
-        worker = threading.Thread(target=use_and_release)
-        worker.start()
-        worker.join(WAIT)
-        assert released.is_set()
-        # The root lease survives; the worker's write is visible.
-        assert engine.rows('t') == {(1,), (2,)}
         engine.close()
-        # close() is idempotent, and a lease after close refuses.
-        engine.close()
+        engine.close()                    # idempotent
         with pytest.raises(SchemaError):
             backend.rows('t')
+        with ThreadPoolExecutor(1) as pool:
+            with pytest.raises(SchemaError):
+                pool.submit(backend.count, 't').result()
 
 
 class TestPlannerLocking:
