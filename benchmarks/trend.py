@@ -16,6 +16,11 @@ its own history** instead:
   filtered to the same ``mode`` (quick/full runs are not comparable).
   An empty same-mode history passes with a note — the first run
   *seeds* the trajectory, it cannot regress from it.
+* ``append --rebaseline REASON`` — record the run with a
+  ``"rebaseline"`` field: that record starts a **new** same-mode
+  history, and ``check`` ignores every same-mode run before it.  For a
+  change that moves a ratio on purpose (removing an artefact that
+  inflated it), never for a regression; the reason stays in the file.
 * ``show``    — print the trajectory.
 
 Stdlib-only on purpose: CI calls it right after ``bench_all`` with no
@@ -23,6 +28,7 @@ package on ``sys.path``.
 
 Run:  python benchmarks/trend.py check [--summary P] [--trend P]
       python benchmarks/trend.py append [--summary P] [--trend P]
+                                        [--rebaseline REASON]
       python benchmarks/trend.py show [--trend P]
 """
 
@@ -66,11 +72,21 @@ def load_trend(path: Path) -> list[dict]:
     return records
 
 
+def same_mode_history(record: dict, history: list[dict]) -> list[dict]:
+    """The runs ``record`` is gated against: same mode, from the newest
+    same-mode ``rebaseline`` record on."""
+    same_mode = [r for r in history if r.get('mode') == record['mode']]
+    for start in range(len(same_mode) - 1, -1, -1):
+        if same_mode[start].get('rebaseline'):
+            return same_mode[start:]
+    return same_mode
+
+
 def check_against_history(record: dict, history: list[dict], *,
                           tolerance: float = TOLERANCE) -> list[str]:
     """Failure messages for ``record`` vs the same-mode ``history``
     (empty list = pass)."""
-    same_mode = [r for r in history if r.get('mode') == record['mode']]
+    same_mode = same_mode_history(record, history)
     if not same_mode:
         return []
     failures = []
@@ -112,6 +128,9 @@ def main(argv=None) -> int:
         if name == 'check':
             p.add_argument('--tolerance', type=float,
                            default=TOLERANCE)
+        if name == 'append':
+            p.add_argument('--rebaseline', metavar='REASON',
+                           help='start a new same-mode history here')
     args = parser.parse_args(argv)
 
     if args.command == 'show':
@@ -125,6 +144,8 @@ def main(argv=None) -> int:
             overhead = r.get('overhead_ratio')
             tail = f' overhead={overhead:.4f}' \
                 if overhead is not None else ''
+            if r.get('rebaseline'):
+                tail += f' rebaseline: {r["rebaseline"]}'
             print(f'{i:>3} [{r["mode"]}] {ratios}{tail}')
         return 0
 
@@ -132,6 +153,8 @@ def main(argv=None) -> int:
     record = record_from_summary(summary)
 
     if args.command == 'append':
+        if args.rebaseline:
+            record['rebaseline'] = args.rebaseline
         with args.trend.open('a', encoding='utf-8') as f:
             f.write(json.dumps(record, sort_keys=True) + '\n')
         print(f'appended [{record["mode"]}] run to {args.trend}')
@@ -140,8 +163,7 @@ def main(argv=None) -> int:
     history = load_trend(args.trend)
     failures = check_against_history(record, history,
                                      tolerance=args.tolerance)
-    same_mode = sum(1 for r in history
-                    if r.get('mode') == record['mode'])
+    same_mode = len(same_mode_history(record, history))
     if not same_mode:
         print(f'trend check: no {record["mode"]}-mode history in '
               f'{args.trend} — run seeds the trajectory, passing')

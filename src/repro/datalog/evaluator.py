@@ -36,7 +36,6 @@ entirely.
 from __future__ import annotations
 
 import os
-from typing import Sequence
 
 from repro.datalog.ast import Program, Rule
 from repro.datalog.plan import (BindStep, CompareStep, ExecutionPlan,
@@ -48,13 +47,17 @@ from repro.relational.database import Database
 
 __all__ = ['evaluate', 'evaluate_rule', 'evaluate_query',
            'holds', 'constraint_violations', 'execute_plan',
-           'execute_constraints', 'IndexedRelation']
+           'execute_constraints', 'IndexedRelation', 'OverlayRelation']
 
 Row = tuple
 
 # Backwards-compatible alias: the binarizer schedules bodies with the
 # same order-preserving greedy pass the evaluator historically used.
 _schedule = schedule_body
+
+
+#: Largest index bucket kept as a list (see :class:`IndexedRelation`).
+_LIST_BUCKET_MAX = 8
 
 
 class IndexedRelation:
@@ -64,7 +67,15 @@ class IndexedRelation:
     an index build.  Instances can be *persistent* (owned by the RDBMS
     engine and shared across evaluations): :meth:`add` / :meth:`discard`
     keep every built index consistent under mutation, so repeated
-    incremental updates pay O(|Δ| · #indexes), not O(|R|)."""
+    incremental updates pay O(|Δ| · #indexes), not O(|R|).
+
+    An index bucket is a list while it holds at most
+    :data:`_LIST_BUCKET_MAX` rows (compact: most buckets hold one row),
+    and an insertion-ordered dict used as a set (rows map to ``None``)
+    once it outgrows that, so removing a row costs O(1) however large
+    the bucket (a ``status = 'open'`` bucket holds half the table).
+    Iteration follows insertion order either way, so first-witness
+    searches stay deterministic."""
 
     __slots__ = ('rows', '_indexes')
 
@@ -83,12 +94,16 @@ class IndexedRelation:
             return
         index: dict = {}
         for row in self.rows:
-            row_key = tuple(row[p] for p in positions)
-            index.setdefault(row_key, []).append(row)
+            index.setdefault(tuple(row[p] for p in positions),
+                             []).append(row)
+        for row_key, bucket in index.items():
+            if len(bucket) > _LIST_BUCKET_MAX:
+                index[row_key] = dict.fromkeys(bucket)
         self._indexes[positions] = index
 
-    def lookup(self, positions: tuple[int, ...], key: tuple) -> Sequence[Row]:
-        """Rows whose values at ``positions`` equal ``key``."""
+    def lookup(self, positions: tuple[int, ...], key: tuple):
+        """Rows whose values at ``positions`` equal ``key`` (an iterable
+        of rows; treat it as read-only)."""
         if not positions:
             return self.rows
         index = self._indexes.get(positions)
@@ -112,7 +127,15 @@ class IndexedRelation:
         self.rows.add(row)
         for positions, index in self._indexes.items():
             key = tuple(row[p] for p in positions)
-            index.setdefault(key, []).append(row)
+            bucket = index.get(key)
+            if bucket is None:
+                index[key] = [row]
+            elif bucket.__class__ is list:
+                bucket.append(row)
+                if len(bucket) > _LIST_BUCKET_MAX:
+                    index[key] = dict.fromkeys(bucket)
+            else:
+                bucket[row] = None
 
     def discard(self, row: tuple) -> None:
         if row not in self.rows:
@@ -121,13 +144,73 @@ class IndexedRelation:
         for positions, index in self._indexes.items():
             key = tuple(row[p] for p in positions)
             bucket = index.get(key)
-            if bucket is not None:
+            if bucket is None:
+                continue
+            if bucket.__class__ is list:
                 try:
                     bucket.remove(row)
                 except ValueError:
                     pass
-                if not bucket:
-                    del index[key]
+            else:
+                bucket.pop(row, None)
+            if not bucket:
+                del index[key]
+
+
+class _OverlayRows:
+    """The row set ``(base \\ minus) ∪ plus`` (membership and
+    iteration) without copying ``base``."""
+
+    __slots__ = ('base', 'plus', 'minus')
+
+    def __init__(self, base, plus, minus):
+        self.base = base
+        self.plus = plus
+        self.minus = minus
+
+    def __contains__(self, row) -> bool:
+        return row in self.plus or (row in self.base
+                                    and row not in self.minus)
+
+    def __iter__(self):
+        minus = self.minus
+        for row in self.base:
+            if row not in minus:
+                yield row
+        yield from self.plus
+
+
+class OverlayRelation(IndexedRelation):
+    """A read-only relation ``(base \\ minus) ∪ plus`` served through
+    ``base``'s persistent indexes: the post-state of a stored relation
+    under a pending delta, as incremental view maintenance reads it
+    before the delta is applied.  Requires ``minus ⊆ base`` and
+    ``plus ∩ base = ∅`` (effective deltas).  A lookup costs the base
+    bucket plus a hash probe into a lazily built index over ``plus``."""
+
+    __slots__ = ('base',)
+
+    def __init__(self, base: IndexedRelation, plus, minus):
+        self.base = base
+        self.rows = _OverlayRows(base.rows, plus, minus)
+        self._indexes = {}          # positions -> index over ``plus``
+
+    def lookup(self, positions: tuple[int, ...], key: tuple):
+        if not positions:
+            return self.rows
+        rows = self.base.lookup(positions, key)
+        minus = self.rows.minus
+        if minus and rows:
+            rows = [row for row in rows if row not in minus]
+        index = self._indexes.get(positions)
+        if index is None:
+            index = {}
+            for row in self.rows.plus:
+                index.setdefault(tuple(row[p] for p in positions),
+                                 []).append(row)
+            self._indexes[positions] = index
+        added = index.get(key)
+        return [*rows, *added] if added else rows
 
 
 # Backwards-compatible internal alias.

@@ -64,6 +64,11 @@ class Backend(ABC):
     #: short name used by ``--backend`` flags and ``REPRO_BACKEND``
     kind: str = '?'
 
+    #: Does :meth:`evaluate_get_delta` work here?  Without it a base
+    #: write under a materialised view drops the view's cache and the
+    #: next read re-evaluates the whole ``get``.
+    maintains_caches: bool = False
+
     def __init__(self, schema: DatabaseSchema):
         self.schema = schema
 
@@ -119,6 +124,16 @@ class Backend(ABC):
     def drop_cache(self, name: str) -> None:
         """Invalidate the stored materialisation of ``name`` (no-op when
         absent)."""
+
+    def evaluate_get_delta(self, entry: 'ViewEntry',
+                           base_deltas: Mapping[str, object]) -> Delta:
+        """Evaluate the view's ``∂get`` (``entry.get_delta_plan``): the
+        delta that takes its stored cache to ``get`` of the post-commit
+        state, given one transaction's staged base deltas (``name →``
+        an object with ``insertions``/``deletions``, not necessarily
+        effective) against the still-untouched storage.  Only called
+        when :attr:`maintains_caches` is true."""
+        raise NotImplementedError
 
     # -- indexes ------------------------------------------------------
 

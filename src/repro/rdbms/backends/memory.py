@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from repro.datalog.evaluator import IndexedRelation
+from repro.core.incremental_get import post_state
+from repro.datalog.ast import delete_pred, insert_pred
+from repro.datalog.evaluator import IndexedRelation, OverlayRelation
 from repro.datalog.pretty import pretty_rule
 from repro.errors import ConstraintViolation, SchemaError
 from repro.rdbms.backends.base import Backend
@@ -27,6 +29,7 @@ class MemoryBackend(Backend):
     """Mutable indexed sets; evaluation by the compiled-plan interpreter."""
 
     kind = 'memory'
+    maintains_caches = True
 
     def __init__(self, schema: DatabaseSchema):
         super().__init__(schema)
@@ -83,6 +86,32 @@ class MemoryBackend(Backend):
 
     def drop_cache(self, name: str) -> None:
         self._caches.pop(name, None)
+
+    def evaluate_get_delta(self, entry, base_deltas) -> Delta:
+        """One pass of ``∂get`` over the persistent relations: each
+        source is read as itself (pre-state) and through an
+        :class:`OverlayRelation` (post-state), the staged deltas made
+        effective against storage first — ``∂get`` assumes ``-r ⊆ r``
+        and ``+r ∩ r = ∅``, which a composed transaction delta (insert
+        then delete a row) need not satisfy."""
+        view = entry.name
+        edb = {view: self._caches[view]}
+        for name in entry.source_names:
+            stored = self._tables[name]
+            edb[name] = stored
+            staged = base_deltas.get(name)
+            if staged is None:
+                edb[post_state(name)] = stored
+                continue
+            rows = stored.rows
+            plus = {row for row in staged.insertions if row not in rows}
+            minus = {row for row in staged.deletions if row in rows}
+            edb[insert_pred(name)] = plus
+            edb[delete_pred(name)] = minus
+            edb[post_state(name)] = OverlayRelation(stored, plus, minus)
+        goals = (insert_pred(view), delete_pred(view))
+        output = entry.get_delta_plan.evaluate(edb, goals=goals)
+        return Delta(output[goals[0]], output[goals[1]])
 
     # -- indexes ------------------------------------------------------
 

@@ -26,7 +26,16 @@ relations in SQLite and executes the compiled plans as SQL.
 Performance model (what makes Figure 6 reproducible): a transaction
 stages *deltas* and commits them in place, so an incrementalized update
 touches O(|ΔV|) tuples — no full-table copies, no full-view
-rematerialisation.  The full (original) putback path evaluates the
+rematerialisation.  Materialised views are *maintained*, not dropped:
+a view write commits its own delta into the view's cache, and a base
+write under a cached view evaluates the view's ``∂get``
+(:mod:`repro.core.incremental_get`) against the still-untouched
+storage and commits the resulting cache delta with the transaction —
+O(|ΔS|) too.  Views that ``∂get`` cannot handle (layered views, a
+``get`` that keeps an auxiliary predicate) and backends that do not
+evaluate it (SQLite) keep the fallback: the cache is dropped and the
+next read re-evaluates the whole ``get``; so does a bulk
+:meth:`Engine.load`.  The full (original) putback path evaluates the
 whole program against the updated view and is deliberately O(|S|), as
 in the paper.
 
@@ -52,18 +61,22 @@ which ``benchmarks/bench_batch.py`` uses as the baseline.
 
 from __future__ import annotations
 
+import logging
 import threading
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Iterable, Mapping, Sequence
 
 from repro.core.incremental import incrementalize_plan
+from repro.core.incremental_get import incrementalize_get_plan, \
+    stored_relation
 from repro.core.lvgn import is_lvgn
 from repro.core.strategy import UpdateStrategy
 from repro.core.validation import ValidationReport, validate
 from repro.datalog.ast import Program
 from repro.datalog.plan import ExecutionPlan, compile_program
-from repro.errors import (ContradictionError, SchemaError, ValidationError,
+from repro.errors import (ContradictionError, SchemaError,
+                          TransformationError, ValidationError,
                           ViewUpdateError)
 from repro.rdbms.backends import Backend, create_backend
 from repro.rdbms.dml import (Delete, Insert, Statement, Update,
@@ -76,6 +89,8 @@ from repro.relational.schema import DatabaseSchema, RelationSchema
 
 __all__ = ['Engine', 'Transaction', 'ViewEntry', 'PreparedCommit',
            'coalesce_buckets', 'unpack_commit']
+
+logger = logging.getLogger(__name__)
 
 #: Re-plan a view's compiled plans when a source relation's observed
 #: cardinality drifts this far (either direction) from the stats the
@@ -113,6 +128,9 @@ class ViewEntry:
     base_closure: frozenset  # base tables transitively underneath
     update_closure: frozenset  # relations the putback can write,
     #                            transitively through view sources
+    # ∂get: the compiled view-maintenance program a base write under
+    # the cached view runs (None: drop the cache and re-materialise).
+    get_delta_plan: ExecutionPlan | None = None
     # Cardinalities the current plans were seeded with, how many times
     # drift forced a recompilation, and how many drift probes have run
     # since the last (re)seed (see Engine._maybe_replan).
@@ -133,6 +151,8 @@ class ViewEntry:
         plans = [self.get_plan, self.strategy.putdelta_plan]
         if self.incremental_plan is not None:
             plans.append(self.incremental_plan)
+        if self.get_delta_plan is not None:
+            plans.append(self.get_delta_plan)
         return tuple(plans)
 
 
@@ -489,7 +509,7 @@ class Engine:
             if view in keep and view in shipped:
                 continue
             if view in keep or entry.base_closure & changed_bases:
-                self.backend.drop_cache(view)
+                self._drop_cache(view)
 
     def _wal_append(self, kind: str, data) -> None:
         if self.wal is not None and not self._wal_replaying:
@@ -688,6 +708,14 @@ class Engine:
             update_closure.add(updated)
             if updated in self._views:
                 update_closure |= self._views[updated].update_closure
+        get_delta_plan = None
+        if self.backend.maintains_caches \
+                and not any(s in self._views for s in source_names):
+            try:
+                get_delta_plan = incrementalize_get_plan(get_program, name,
+                                                         stats=stats)
+            except TransformationError:
+                pass            # keep dropping and re-materialising
         entry = ViewEntry(strategy=strategy, get_program=get_program,
                           get_plan=compile_program(get_program,
                                                    stats=stats),
@@ -699,6 +727,7 @@ class Engine:
                           source_names=source_names,
                           base_closure=frozenset(closure),
                           update_closure=frozenset(update_closure),
+                          get_delta_plan=get_delta_plan,
                           stats_seed=dict(stats))
         self._views[name] = entry
         try:
@@ -797,8 +826,11 @@ class Engine:
                                             entry.name, lvgn=entry.lvgn,
                                             stats=stats)
                 except Exception:
-                    # Keep the old incremental plan, but count it.
+                    # Keep the old incremental plan, but count and log it.
                     self.metrics.counter('plan.replan_failures')
+                    logger.warning('re-planning the incremental plan of '
+                                   'view %r failed; keeping the old plan',
+                                   entry.name, exc_info=True)
             entry.stats_seed = dict(stats)
             entry.replans += 1
             entry.drift_probes = 0
@@ -812,7 +844,9 @@ class Engine:
         for plan in entry.plans():
             for pred, positions in plan.index_requirements:
                 if pred not in self.schema and pred not in self._views:
-                    continue  # delta inputs / auxiliary IDB predicates
+                    pred = stored_relation(pred)   # ∂get's post-states
+                    if pred not in self.schema and pred not in self._views:
+                        continue  # delta inputs / auxiliary IDB predicates
                 self.backend.add_index_hint(pred, positions)
 
     # -- DML -------------------------------------------------------------------
@@ -1044,19 +1078,11 @@ class Engine:
             if name not in self._views:
                 for row in delta.insertions:
                     self.schema[name].validate_tuple(row)
-        changed_bases: set[str] = set()
-        batch: list[tuple[str, Delta, bool]] = []
-        for name, delta in working.deltas.items():
-            if delta.is_empty():
-                continue
-            if name in self._views:
-                if self.backend.has_cache(name):
-                    batch.append((name, delta, True))
-            else:
-                batch.append((name, delta, False))
-                changed_bases.add(name)
-        # A touched view's cache stays valid only when every write under
-        # it came from its own update pipeline(s).
+        changed_bases = {name for name, delta in working.deltas.items()
+                         if name not in self._views
+                         and not delta.is_empty()}
+        # A touched view's staged delta is its cache delta only when
+        # every write under it came from its own update pipeline(s).
         keep: set[str] = set()
         for view in working.touched_views:
             entry = self._views[view]
@@ -1066,8 +1092,40 @@ class Engine:
                 foreign |= working.base_origins.get(base, set()) - own
             if not foreign:
                 keep.add(view)
+        maintained = self._maintain_caches(working, changed_bases, keep)
+        keep |= maintained.keys()
+        batch: list[tuple[str, Delta, bool]] = []
+        for name, delta in working.deltas.items():
+            if name in maintained or delta.is_empty():
+                continue
+            if name not in self._views:
+                batch.append((name, delta, False))
+            elif self.backend.has_cache(name):
+                batch.append((name, delta, True))
+        batch.extend((view, delta, True)
+                     for view, delta in maintained.items())
         return PreparedCommit(batch=batch, changed_bases=changed_bases,
                               keep=keep, note=working.note)
+
+    def _maintain_caches(self, working: _Working, changed_bases: set[str],
+                         keep: set[str]) -> dict[str, Delta]:
+        """The cache delta of every materialised view outside ``keep``
+        that the transaction's base writes reach, by ``∂get`` over the
+        staged base deltas against the still-untouched storage.  Views
+        without a ``∂get`` are left out: commit drops their caches."""
+        maintained: dict[str, Delta] = {}
+        if not changed_bases:
+            return maintained
+        for view, entry in self._views.items():
+            if entry.get_delta_plan is None or view in keep \
+                    or not entry.base_closure & changed_bases \
+                    or not self.backend.has_cache(view):
+                continue
+            maintained[view] = self.backend.evaluate_get_delta(
+                entry, working.deltas)
+        if maintained:
+            self.metrics.counter('cache.maintained', len(maintained))
+        return maintained
 
     def apply_prepared(self, prepared: 'PreparedCommit') -> None:
         """Apply a prepared transaction: one backend delta batch plus
@@ -1110,7 +1168,13 @@ class Engine:
             if view in keep:
                 continue
             if entry.base_closure & changed_bases:
-                self.backend.drop_cache(view)
+                self._drop_cache(view)
+
+    def _drop_cache(self, view: str) -> None:
+        """Invalidate ``view``'s materialisation, counting real drops."""
+        if self.backend.has_cache(view):
+            self.metrics.counter('cache.dropped')
+        self.backend.drop_cache(view)
 
 
 class Transaction:

@@ -286,7 +286,8 @@ class Peer:
                     continue
                 if view in cached and view in event.keep:
                     # The commit maintained the view's cache
-                    # incrementally — its staged delta *is* the view
+                    # incrementally (its own putback, or ∂get for a
+                    # base write) — the cache delta *is* the view
                     # delta, no recomputation needed.
                     delta = cached[view]
                     self._publish_diff(view,

@@ -105,6 +105,7 @@ partially committed).  Fault injection for all of this lives in
 
 from __future__ import annotations
 
+import logging
 import tempfile
 import threading
 import time
@@ -134,6 +135,8 @@ from repro.relational.schema import DatabaseSchema, RelationSchema
 
 __all__ = ['Partitioner', 'HashPartitioner', 'RangePartitioner',
            'LocalShard', 'ShardedEngine']
+
+logger = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -1182,18 +1185,24 @@ class ShardedEngine:
         state, and restart any worker that died — so the *next*
         transaction finds a serving cluster.  A failure on the way is
         swallowed, since the error being raised ranks first, but
-        counted as ``cluster.abort_errors``."""
+        counted as ``cluster.abort_errors`` and logged."""
         for reply in txn.log:
             try:
                 reply()
             except Exception:
                 self._metrics.counter('cluster.abort_errors')
+                logger.warning('an in-flight shard reply failed while '
+                               'aborting a cluster transaction',
+                               exc_info=True)
         txn.log = []
         for index, handle in txn.handles.items():
             try:
                 self.shards[index].abort(handle)
             except Exception:
                 self._metrics.counter('cluster.abort_errors')
+                logger.warning('shard %d failed to abort its part of a '
+                               'cluster transaction', index,
+                               exc_info=True)
         if self._procpool is not None:
             self._procpool.restart_dead()
 

@@ -13,7 +13,12 @@ paper's §6.2.2 protocol); statements mix
 * DELETEs by full row, by shard key, by WHERE-mapping, or everything,
 * UPDATEs of constraint-neutral columns, and UPDATEs *of the shard
   key* (rows change owner under the sharded engine),
-* direct base-table DML mixed into the same transaction,
+* direct base-table DML mixed into the same transaction — half of
+  the inserts a *sibling swap*: insert a copy of an existing base row
+  that differs only in a column the view projects away (or, for the
+  selection view, in a non-key column) and delete the original in the
+  same bucket, so the view row keeps a derivation and view
+  maintenance must not drop it,
 * deliberately constraint-violating single-statement transactions, so
   the raise behavior is differentially checked too.
 
@@ -40,6 +45,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.benchsuite.catalog import entry_by_name
+from repro.datalog.evaluator import evaluate
 from repro.rdbms.dml import Delete, Insert, Statement, Update
 from repro.rdbms.engine import Engine
 from repro.rdbms.replica import ReplicaEngine
@@ -47,7 +53,7 @@ from repro.rdbms.sharded import ShardedEngine
 from repro.relational.generators import random_database, random_rows
 
 __all__ = ['FUZZ_VIEWS', 'SHARD_KEYS', 'Workload', 'random_workload',
-           'build_engines', 'SHARD_BACKENDS']
+           'build_engines', 'SHARD_BACKENDS', 'assert_caches_fresh']
 
 #: The Figure-6 catalog views the harness fuzzes (one selection, one
 #: projection, one projection+join with ID+C constraints, one union).
@@ -87,6 +93,13 @@ _HAS_CONSTRAINTS = {'luxuryitems': True, 'officeinfo': False,
                     'outstanding_task': True, 'vw_brands': True}
 
 _FRESH_BASE = 5_000_000
+
+#: The column a sibling swap changes, per base relation: projected away
+#: by the view's ``get`` (``works`` phone, ``tasks`` created, ``flow``
+#: step) or, for the selection view, a non-key one.  The union's base
+#: tables have none: each of their rows is the only derivation of its
+#: (tagged) view row.
+_SIBLING_COLUMN = {'items': 1, 'works': 2, 'tasks': 3, 'flow': 1}
 
 
 @dataclass
@@ -185,6 +198,10 @@ def random_workload(view: str, seed: int) -> Workload:
     inserted: list[tuple] = []
     flow_pool = _FlowPool(data) if view == 'outstanding_task' else None
     expects_violations = False
+    # Sibling swaps draw from their own stream: a swap only replaces the
+    # random insert drawn for its bucket, and every later main-stream
+    # draw stays what it was.
+    siblings = random.Random((seed << 5) ^ 0x51B)
 
     def view_statement() -> Statement:
         nonlocal inserted
@@ -238,6 +255,10 @@ def random_workload(view: str, seed: int) -> Workload:
         if rng.random() < 0.6:
             pools = (entry.column_pools or {}).get(name)
             row = next(iter(random_rows(schema, 1, rng, pools)))
+            column = _SIBLING_COLUMN.get(name)
+            if column is not None and data[name] \
+                    and siblings.random() < 0.5:
+                return sibling_swap(name, schema, column)
             if flow_pool is not None and name == 'flow':
                 flow_pool.insert(row)
             return (name, [Insert(row)])
@@ -252,6 +273,18 @@ def random_workload(view: str, seed: int) -> Workload:
             flow_tail.append(bucket)
             return None
         return bucket
+
+    def sibling_swap(name, schema, column):
+        victim = siblings.choice(sorted(data[name]))
+        sibling = victim[:column] + (f'{victim[column]}~',) \
+            + victim[column + 1:]
+        delete = Delete(dict(zip(schema.attributes, victim)))
+        if flow_pool is not None and name == 'flow':
+            flow_pool.insert(sibling)
+            flow_pool.delete(victim)
+            flow_tail.append((name, [delete]))
+            return (name, [Insert(sibling)])
+        return (name, [Insert(sibling), delete])
 
     transactions: list = []
     for _ in range(rng.randint(1, 4)):
@@ -412,3 +445,41 @@ def build_engines(workload: Workload, *,
         engine.define_view(strategy, validate_first=False)
         engine.rows(workload.view)      # materialise the view cache
     return configs
+
+
+def _cache_holders(label: str, engine):
+    """``(label, has_cache, rows, database)`` for every storage engine
+    inside one configuration: each shard and the replica keep their own
+    view caches, maintained from their own deltas."""
+    if isinstance(engine, _ReplicatedEngine):
+        engine.replica.catch_up()
+        yield from _cache_holders(f'{label}/primary', engine.primary)
+        yield from _cache_holders(f'{label}/replica',
+                                  engine.replica.engine)
+    elif isinstance(engine, ShardedEngine):
+        for index, shard in enumerate(engine.shards):
+            # Worker-process shards only pipeline their snapshot.
+            snapshot = getattr(shard, 'snapshot', None) \
+                or (lambda shard=shard: shard.send_snapshot()())
+            yield (f'{label}/shard{index}', shard.has_cache, shard.rows,
+                   snapshot)
+    else:
+        yield (label, engine.backend.has_cache, engine.rows,
+               engine.database)
+
+
+def assert_caches_fresh(engines: dict, view: str, context: str) -> None:
+    """The cache oracle: every *materialised* cache of ``view`` equals a
+    fresh evaluation of its ``get`` over the same engine's committed
+    base tables.  Run it before anything reads the view, so a cache that
+    is there was maintained through the transaction, not rebuilt."""
+    get_program = _strategy(view).expected_get
+    for name, engine in engines.items():
+        for label, has_cache, rows, database in _cache_holders(name,
+                                                               engine):
+            if not has_cache(view):
+                continue
+            fresh = evaluate(get_program, database(), goals=(view,))[view]
+            assert frozenset(rows(view)) == fresh, (
+                f'{label}: maintained cache of {view!r} differs from a '
+                f'fresh get after {context}')

@@ -12,6 +12,9 @@ exist on the process path, so one plan can stay installed for the
 whole run without touching the oracle).  Kill rules are inherited by
 the forked workers; ``generation=0`` matching spares restarted
 incarnations, so a kill fires exactly once and recovery proceeds.
+After every transaction each shard's materialised view cache — on
+both clusters, maintained by ∂get through the base writes — must also
+equal a fresh ``get`` over that shard's committed base tables.
 
 Profiles as in ``test_differential``: CI runs the bounded smoke
 (``--hypothesis-profile=ci``); a pinned corpus of verified-non-vacuous
@@ -33,7 +36,7 @@ from repro.rdbms import faults                                     # noqa: E402
 from repro.rdbms.sharded import ShardedEngine                      # noqa: E402
 
 from .strategies import (FUZZ_VIEWS, SHARD_KEYS, _strategy,        # noqa: E402
-                         random_workload)
+                         assert_caches_fresh, random_workload)
 
 #: Fault scenarios the chaos axis cycles through.  ``kill-apply`` is
 #: the hardest: SIGKILL inside the apply phase, *before* the worker's
@@ -114,6 +117,9 @@ def run_chaos(view: str, seed: int, fault: str) -> bool:
                     assert outcomes['victim'] == outcomes['oracle'], (
                         f'divergent raise behavior under {fault} on '
                         f'{workload!r} transaction #{number}: {outcomes}')
+                    assert_caches_fresh(
+                        {'victim': victim, 'oracle': oracle}, view,
+                        f'{fault} on {workload!r} transaction #{number}')
                     assert victim.database() == oracle.database(), (
                         f'committed state diverged under {fault} on '
                         f'{workload!r} transaction #{number}')

@@ -8,7 +8,12 @@ SQLite storage, batched vs statement-at-a-time translation, sharded
 read replica (reads served from delta shipping, never from plan
 re-execution) vs direct execution.  After every transaction the
 committed base tables, the materialised view caches, and the
-raised-error behavior must agree across all of them; at workload end
+raised-error behavior must agree across all of them, and every cache
+still materialised — maintained by ∂get through the transaction's base
+writes, never rebuilt — must equal a fresh ``get`` over its own
+engine's base tables.  The harness reads the view between
+transactions, so the next transaction's base writes always land on a
+materialised cache.  At workload end
 the replica's log is additionally replayed into a fresh engine (crash
 recovery) which must land on the same state.
 
@@ -26,8 +31,10 @@ hypothesis = pytest.importorskip('hypothesis')
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from repro.errors import ReproError                                # noqa: E402
+from repro.rdbms.engine import Engine                              # noqa: E402
 
-from .strategies import (FUZZ_VIEWS, Workload, build_engines,      # noqa: E402
+from .strategies import (FUZZ_VIEWS, Workload, _strategy,          # noqa: E402
+                         assert_caches_fresh, build_engines,
                          random_workload)
 
 #: Pinned reproductions that stay in every profile (the seed corpus).
@@ -62,6 +69,8 @@ def run_differential(workload: Workload, *, extended: bool = False,
             assert len(set(outcomes.values())) == 1, (
                 f'divergent raise behavior on {workload!r} '
                 f'transaction #{number}: {outcomes}')
+            assert_caches_fresh(engines, view,
+                                f'{workload!r} transaction #{number}')
             reference_state = (engines[reference].database(),
                                frozenset(engines[reference].rows(view)))
             for name, engine in engines.items():
@@ -144,6 +153,35 @@ def test_seed_corpus_deterministic(view, seed):
     finally:
         for engine in engines.values():
             engine.close()
+
+
+def test_corpus_exercises_maintenance():
+    """Over the pinned corpus, base writes of committed transactions
+    land on materialised caches of every fuzzed view and are maintained
+    through ∂get — the cache oracle above is not vacuous.  (Replays the
+    corpus on the reference configuration alone, as the harness drives
+    it: the view is read after every transaction.)"""
+    maintained = dict.fromkeys(FUZZ_VIEWS, 0)
+    for view, seed in SEED_CORPUS:
+        workload = random_workload(view, seed)
+        strategy = _strategy(view)
+        engine = Engine(strategy.sources, backend='memory')
+        try:
+            for name in strategy.sources.names():
+                engine.load(name, workload.data[name])
+            engine.define_view(strategy, validate_first=False)
+            engine.rows(view)
+            for transaction in workload.transactions:
+                try:
+                    engine.execute_many(transaction)
+                except ReproError:
+                    pass
+                engine.rows(view)
+            maintained[view] += engine.metrics_snapshot()['counters'] \
+                .get('cache.maintained', 0)
+        finally:
+            engine.close()
+    assert all(maintained.values()), maintained
 
 
 def test_violating_workloads_raise_everywhere():

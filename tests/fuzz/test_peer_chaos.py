@@ -11,7 +11,9 @@ precondition the network's machinery — per-link LSN watermarks,
 per-root apply watermarks, durable outboxes, retry/quarantine/heal,
 crash restart from the WAL — must absorb dropped, duplicated,
 delayed, reordered and stalled deliveries plus receiver crashes with
-zero lost and zero double-applied deltas.
+zero lost and zero double-applied deltas — and every peer's
+materialised view cache must equal a fresh ``get`` over its own base
+tables after every transaction.
 
 Profiles as in ``test_chaos``: CI runs the bounded smoke
 (``--hypothesis-profile=ci``); the pinned corpus of verified
@@ -34,7 +36,7 @@ from repro.rdbms.dml import Delete, Insert                         # noqa: E402
 from repro.rdbms.engine import Engine                              # noqa: E402
 from repro.rdbms.peernet import PeerNetwork, converged             # noqa: E402
 
-from .strategies import _strategy                                  # noqa: E402
+from .strategies import _strategy, assert_caches_fresh             # noqa: E402
 
 VIEW = 'officeinfo'
 PEERS = ('p0', 'p1', 'p2')
@@ -152,6 +154,10 @@ def run_peer_chaos(seed: int, fault: str) -> bool:
                     oracle.execute(VIEW, statements)
                     for _ in range(rng.randint(0, 2)):
                         net.pump()
+                    assert_caches_fresh(
+                        {name: peer.engine
+                         for name, peer in net.peers.items()}, VIEW,
+                        f'{fault} (seed {seed}) transaction')
                     watermarks = _check_monotonic(net, watermarks)
                 net.settle(max_rounds=300)
             # The outage (if any) ends; quarantined links catch up

@@ -273,8 +273,54 @@ class TestIndexedRelation:
         rel.add((1,))
         assert rel.rows == {(1,)}
 
+    def test_large_bucket_keeps_insertion_order_and_removes(self):
+        from repro.datalog.evaluator import _LIST_BUCKET_MAX
+        rel = IndexedRelation(set())
+        rel.ensure_index((0,))
+        rows = [(1, i) for i in range(3 * _LIST_BUCKET_MAX)]
+        for row in rows:
+            rel.add(row)
+        bucket = rel.lookup((0,), (1,))
+        assert isinstance(bucket, dict)        # outgrew the list form
+        assert list(bucket) == rows
+        for row in rows[::2]:
+            rel.discard(row)
+        assert list(rel.lookup((0,), (1,))) == rows[1::2]
+        # An index built over existing rows splits the same way.
+        again = IndexedRelation(set(rows[1::2]) | {(2, 0)})
+        assert isinstance(again.lookup((0,), (1,)), dict)
+        assert again.lookup((0,), (2,)) == [(2, 0)]
+
     def test_evaluate_accepts_indexed_relations(self):
         program = parse_program('v(X) :- r(X), not s(X).')
         edb = {'r': IndexedRelation({(1,), (2,)}),
                's': IndexedRelation({(2,)})}
         assert evaluate(program, edb)['v'] == {(1,)}
+
+
+class TestOverlayRelation:
+    """The post-state ``(base \\ minus) ∪ plus`` that ∂get reads."""
+
+    def overlay(self):
+        from repro.datalog.evaluator import OverlayRelation
+        base = IndexedRelation({(1, 'a'), (1, 'b'), (2, 'c')})
+        return base, OverlayRelation(base, {(1, 'z'), (3, 'y')},
+                                     {(1, 'a')})
+
+    def test_rows_and_lookup(self):
+        base, post = self.overlay()
+        assert set(post.rows) == {(1, 'b'), (2, 'c'), (1, 'z'), (3, 'y')}
+        assert (1, 'z') in post.rows and (1, 'a') not in post.rows
+        assert set(post.lookup((0,), (1,))) == {(1, 'b'), (1, 'z')}
+        assert list(post.lookup((0,), (3,))) == [(3, 'y')]
+        assert not post.exists((0,), (4,), 2)
+        assert post.exists((0, 1), (1, 'z'), 2)
+        # The base is read through, never copied or changed.
+        assert base.rows == {(1, 'a'), (1, 'b'), (2, 'c')}
+        assert (0,) in base._indexes
+
+    def test_evaluation_reads_the_post_state(self):
+        _, post = self.overlay()
+        program = parse_program('v(X) :- r(X, _), not s(X).')
+        out = evaluate(program, {'r': post, 's': {(2,)}}, goals=('v',))
+        assert out['v'] == {(1,), (3,)}

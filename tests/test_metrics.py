@@ -229,10 +229,11 @@ class TestEngineMetrics:
         finally:
             engine.close()
 
-    def test_replan_failure_counted(self, luxury_strategy, monkeypatch):
+    def test_replan_failure_counted(self, luxury_strategy, monkeypatch,
+                                    caplog):
         """A drift re-plan whose incremental recompile fails keeps the
-        old incremental plan (the re-seed still happens) and counts
-        the failure."""
+        old incremental plan (the re-seed still happens), counts the
+        failure and logs it at WARNING with the traceback."""
         from repro.rdbms import engine as engine_mod
         engine = _luxury_engine(luxury_strategy, backend='memory')
         try:
@@ -246,11 +247,16 @@ class TestEngineMetrics:
 
             monkeypatch.setattr(engine_mod, 'incrementalize_plan',
                                 failing)
-            engine._maybe_replan(entry)
+            with caplog.at_level('WARNING', logger=engine_mod.__name__):
+                engine._maybe_replan(entry)
             assert entry.replans == 1
             assert entry.incremental_plan is kept
             counters = engine.metrics.snapshot()['counters']
             assert counters['plan.replan_failures'] == 1
+            [record] = caplog.records
+            assert record.levelname == 'WARNING'
+            assert 'luxuryitems' in record.getMessage()
+            assert 'recompile failed' in str(record.exc_info[1])
             assert counters['plan.replans'] == 1
         finally:
             engine.close()
@@ -334,9 +340,11 @@ class TestShardedMetrics:
         finally:
             sharded.close()
 
-    def test_abort_errors_counted(self, luxury_strategy, monkeypatch):
+    def test_abort_errors_counted(self, luxury_strategy, monkeypatch,
+                                  caplog):
         """A shard abort that fails during rollback is swallowed — the
-        transaction's own error still surfaces — but counted."""
+        transaction's own error still surfaces — but counted and
+        logged."""
         sharded = ShardedEngine(luxury_strategy.sources, shards=2,
                                 shard_keys={'items': 'iid',
                                             'luxuryitems': 'iid'})
@@ -349,18 +357,24 @@ class TestShardedMetrics:
         monkeypatch.setattr(sharded_mod.LocalShard, 'abort',
                             failing_abort)
         try:
-            with pytest.raises(ConstraintViolation):
+            with pytest.raises(ConstraintViolation), \
+                    caplog.at_level('WARNING', logger=sharded_mod.__name__):
                 sharded.execute_many(
                     [('luxuryitems', [Insert((9, 'socks', 8))])])
             counters = sharded.metrics()['counters']
             assert counters['cluster.aborts'] == 1
             assert counters['cluster.abort_errors'] == 1
+            [record] = caplog.records
+            assert record.levelname == 'WARNING'
+            assert 'failed to abort' in record.getMessage()
+            assert 'abort failed' in str(record.exc_info[1])
         finally:
             sharded.close()
 
-    def test_abort_counts_failed_inflight_replies(self, union_strategy):
+    def test_abort_counts_failed_inflight_replies(self, union_strategy,
+                                                  caplog):
         """A pipelined reply that fails while the abort drains it is
-        counted too, and the log is still emptied."""
+        counted and logged too, and the log is still emptied."""
         sharded = _union_cluster(union_strategy)
         try:
             txn = sharded_mod._ClusterTxn()
@@ -369,10 +383,14 @@ class TestShardedMetrics:
                 raise ShardUnavailableError(0, 'gone')
 
             txn.log.extend([failed_reply, lambda: None, failed_reply])
-            sharded._abort(txn)
+            with caplog.at_level('WARNING', logger=sharded_mod.__name__):
+                sharded._abort(txn)
             assert txn.log == []
             counters = sharded.metrics()['counters']
             assert counters['cluster.abort_errors'] == 2
+            assert [r.levelname for r in caplog.records] == ['WARNING'] * 2
+            assert all(isinstance(r.exc_info[1], ShardUnavailableError)
+                       for r in caplog.records)
         finally:
             sharded.close()
 
